@@ -118,13 +118,12 @@ def log_posterior_kernel(p: ChenParams, s: CensoredSample, prior: GammaPrior) ->
     """Log of the unnormalized joint posterior density at p."""
     if p.alpha <= 0 or p.beta <= 0:
         raise ValueError("parameters must be positive")
-    sum_lnx = float(np.sum(np.log(s.times)))
     sum_t = float(np.sum(s.times**p.beta))
     return float(
         (s.d2 + prior.a - 1.0) * np.log(p.alpha)
         - p.alpha * (prior.b + nu(s, p.beta))
         + (s.d2 + prior.c - 1.0) * np.log(p.beta)
-        - p.beta * (prior.d - sum_lnx)
+        - p.beta * (prior.d - s.sum_lnx)
         + sum_t
     )
 
@@ -157,9 +156,8 @@ def mh_step_beta(s: CensoredSample, alpha: float, beta_current: float,
     proposal = beta_current + proposal_sd * rng.standard_normal()
     if proposal <= 0:
         return beta_current, False
-    sum_lnx = float(np.sum(np.log(s.times)))
-    delta = (_beta_logkernel(s, alpha, proposal, prior, sum_lnx)
-             - _beta_logkernel(s, alpha, beta_current, prior, sum_lnx))
+    delta = (_beta_logkernel(s, alpha, proposal, prior, s.sum_lnx)
+             - _beta_logkernel(s, alpha, beta_current, prior, s.sum_lnx))
     if np.log(rng.random()) < delta:
         return proposal, True
     return beta_current, False
@@ -176,17 +174,8 @@ def run_mh_gibbs(s: CensoredSample, prior: GammaPrior,
         init = mle_fit(s).params_hat
     sd = cfg.proposal_sd if cfg.proposal_sd is not None else max(0.1 * abs(init.beta), 0.01)
 
-    # flat precomputation for the chain loop; removals folded into per-time
-    # coefficients, terminal censoring handled as one extra pseudo-time
-    lnx = np.log(s.times)
-    coef = 1.0 + s.effective_removals.astype(float)
-    if s.b > 0:
-        lnx_all = np.append(lnx, np.log(s.x_b))
-        coef_all = np.append(coef, float(s.b))
-    else:
-        lnx_all, coef_all = lnx, coef
-    sum_lnx = float(np.sum(lnx))
-    drate = prior.d - sum_lnx
+    lnx_all, coef_all = s.log_support, s.weights
+    drate = prior.d - s.sum_lnx
     c1 = s.d2 + prior.c - 1.0
     shape_a = s.d2 + prior.a
     d2 = s.d2
@@ -239,9 +228,7 @@ def importance_sample(s: CensoredSample, prior: GammaPrior,
     """
     cfg = cfg or IsConfig()
     rng = np.random.default_rng(cfg.seed)
-    lnx = np.log(s.times)
-    sum_lnx = float(np.sum(lnx))
-    drate = prior.d - sum_lnx
+    drate = prior.d - s.sum_lnx
     if drate <= 0:
         raise ProposalInvalidError(
             f"beta proposal rate d - sum(ln x) = {drate:.4g} is not positive for this "
@@ -251,16 +238,18 @@ def importance_sample(s: CensoredSample, prior: GammaPrior,
     shape_a = s.d2 + prior.a
     betas = rng.gamma(shape=shape_b, scale=1.0 / drate, size=cfg.draws)
 
-    r_coef = s.effective_removals.astype(float)
+    d2 = s.d2
+    # the alpha proposal's rate keeps only the censored units' terms of nu
+    cens_weights = s.weights.copy()
+    cens_weights[:d2] -= 1.0  # R_i per failure; b at the terminal time stays
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        t = np.exp(np.outer(betas, lnx))  # (draws, d2)
+        t = np.exp(np.outer(betas, s.log_support))  # (draws, support)
         w = np.expm1(t)
-        cens_rate = prior.b + w @ r_coef
-        if s.b > 0:
-            cens_rate = cens_rate + s.b * np.expm1(np.exp(betas * np.log(s.x_b)))
+        cens = w @ cens_weights
+        cens_rate = prior.b + cens
         alphas = rng.gamma(shape=shape_a, scale=1.0 / cens_rate)
-        nu_all = w.sum(axis=1) + (cens_rate - prior.b)
-        sum_t = t.sum(axis=1)
+        nu_all = w[:, :d2].sum(axis=1) + cens
+        sum_t = t[:, :d2].sum(axis=1)
         log_kernel = (
             (shape_a - 1.0) * np.log(alphas)
             - alphas * (prior.b + nu_all)

@@ -71,6 +71,11 @@ class CensoredSample:
     i-th failure (the planned R_i when x_i < t1, else 0).  `b` units are
     censored at the terminal time `x_b`.  d1 counts the failure times
     carrying removals, d2 the observed failures.
+
+    The likelihood's weighted support is cached once per sample:
+    `log_support` holds ln x_i for the d2 failures, then ln x_b when b > 0;
+    `weights` holds 1 + R_i for the failures, then b; `sum_lnx` is the sum
+    of ln x_i over the failures.
     """
 
     times: np.ndarray
@@ -83,6 +88,9 @@ class CensoredSample:
     b: int
     x_b: float
     plan: CensoringPlan = field(repr=False)
+    log_support: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
+    sum_lnx: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=float)
@@ -95,6 +103,19 @@ class CensoredSample:
             raise InconsistentSampleError("unit conservation d2 + sum(removals) + b = n violated")
         if self.d1 > self.d2 or self.b < 0:
             raise InconsistentSampleError("invalid censoring coefficients")
+        coef = 1.0 + rem.astype(float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lnx = np.log(times)
+            if self.b > 0:
+                lnx_all = np.append(lnx, np.log(self.x_b))
+                coef_all = np.append(coef, float(self.b))
+            else:
+                lnx_all, coef_all = lnx, coef
+        lnx_all.flags.writeable = False
+        coef_all.flags.writeable = False
+        object.__setattr__(self, "log_support", lnx_all)
+        object.__setattr__(self, "weights", coef_all)
+        object.__setattr__(self, "sum_lnx", float(np.sum(lnx)))
 
 
 def _assemble(times, plan: CensoringPlan, case: Case, b: int, x_b: float,

@@ -261,6 +261,7 @@ def _scenario_from_config(path: str, args) -> Scenario:
                       frozenset({"mle"}))
     if args.estimators:
         estimators = frozenset(args.estimators.replace(",", " ").split())
+    seed = _seed_of(args)
     scheme = pick("scheme", str, "IV")
     if scheme.upper() in montecarlo.SCHEME_KINDS:
         scheme = scheme.upper()
@@ -274,13 +275,13 @@ def _scenario_from_config(path: str, args) -> Scenario:
             t1=pick("t1", float),
             t2=pick("t2", float),
             true_params=ChenParams(pick("alpha", float, 0.2), pick("beta", float, 0.5)),
-            replications=args.reps or pick("reps", int, 2000),
+            replications=args.reps if args.reps is not None else pick("reps", int, 2000),
             estimators=estimators,
             prior=bayes.GammaPrior(pick("a", float, 2.0), pick("b", float, 2.0),
                                    pick("c", float, 2.0), pick("d", float, 2.0)),
             loss=bayes.LossParams(pick("g", float, 1.0), pick("q", float, 1.0)),
             ci_level=pick("level", float, 0.95),
-            seed=_seed_of(args) or pick("seed", int, 0),
+            seed=seed if seed is not None else pick("seed", int, 0),
         )
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid scenario config: {exc}") from exc
@@ -289,8 +290,9 @@ def _scenario_from_config(path: str, args) -> Scenario:
 def cmd_study(args) -> int:
     if args.paper_grid:
         estimators = frozenset((args.estimators or "mle,mh,is").replace(",", " ").split())
-        scenarios = paper_grid(replications=args.reps or 2000,
-                               seed=_seed_of(args) or 0, estimators=estimators)
+        seed = _seed_of(args)
+        scenarios = paper_grid(replications=args.reps if args.reps is not None else 2000,
+                               seed=seed if seed is not None else 0, estimators=estimators)
     elif args.config:
         scenarios = [_scenario_from_config(args.config, args)]
     else:

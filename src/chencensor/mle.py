@@ -2,18 +2,21 @@
 
 The profile structure is exploited: for fixed beta the alpha score is
 linear in 1/alpha, giving alpha_hat(beta) = d2 / nu(beta) in closed form.
-beta_hat is found by the fixed-point iteration beta <- g(beta), with a
-bracketed root-finder on the profile score as fallback.  Asymptotic
-confidence intervals come from the inverse observed information.
+beta_hat is the root of the profile score h(beta), found by Newton's method
+from `MleOptions.beta_init` and kept inside a sign-change bracket by
+geometric bisection.  h and its slope come from one pass over the sample's
+cached weighted support, rescaled where e^(x^beta) would overflow.
+Asymptotic confidence intervals come from the inverse observed information.
 """
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from statistics import NormalDist
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.stats import norm
 
 from .censoring import CensoredSample
 from .chen import ChenParams
@@ -30,6 +33,7 @@ __all__ = [
     "nu",
     "alpha_profile",
     "profile_score",
+    "profile_score_and_slope",
     "solve_beta",
     "fit",
     "observed_information",
@@ -46,8 +50,10 @@ class NoRootError(RuntimeError):
 
 
 class SolveMethod(enum.Enum):
-    FIXED_POINT = "fixed_point"
-    BRACKETED = "bracketed"
+    """How `solve_beta` reached the root."""
+
+    FIXED_POINT = "fixed_point"  # Newton steps only
+    BRACKETED = "bracketed"  # at least one bisection step
 
 
 @dataclass(frozen=True)
@@ -90,14 +96,55 @@ def _check_params(p: ChenParams) -> None:
         raise ValueError("parameters must be positive")
 
 
-def _weights(s: CensoredSample):
-    """Per-time multiplier 1 + R_i for the survival terms, plus (B, x_B).
+class _Sums(NamedTuple):
+    """Sums over the weighted support at one beta, with t = x^beta.
 
-    x_B is returned as a numpy scalar so that powers overflow to inf
-    instead of raising, matching the array code paths.
+    The weighted sums are scaled by e^(-shift); shift is 0 unless e^t would
+    overflow, in which case it is the largest t.  The failure-time sums are
+    not scaled.
     """
-    coef = 1.0 + s.effective_removals.astype(float)
-    return coef, float(s.b), np.float64(s.x_b)
+
+    shift: float
+    nu: float       # sum w (e^t - 1)
+    phi: float      # sum w phi,    phi = e^t t ln x
+    phi_xi: float   # sum w phi xi, xi = ln x (1 + t)
+    t_lnx: float    # sum of t ln x over the failures
+    t_lnx2: float   # sum of t (ln x)^2 over the failures
+
+
+_RESCALE_ABOVE = 600.0  # e^600 and the weighted sums of it stay finite
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
+
+
+def _sums(s: CensoredSample, beta: float) -> _Sums:
+    lnx, w, d2 = s.log_support, s.weights, s.d2
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        t = np.exp(beta * lnx)
+        shift = float(t.max())
+        if shift <= _RESCALE_ABOVE:
+            shift = 0.0
+            e = np.exp(t)
+            nu_terms = np.expm1(t)
+        else:
+            # e^(-shift) is below 1e-260, so e^t - 1 scales to e^(t-shift)
+            e = np.exp(t - shift)
+            nu_terms = e
+        t_lnx = t * lnx
+        we = w * e
+        phi = float(we @ t_lnx)
+        phi_xi = float(we @ (t_lnx * lnx * (1.0 + t)))
+        t_lnx_f = t_lnx[:d2]
+        return _Sums(shift, float(w @ nu_terms), phi, phi_xi,
+                     float(t_lnx_f.sum()), float(t_lnx_f @ lnx[:d2]))
+
+
+def _unscale(x: float, shift: float) -> float:
+    """x * e^shift, formed in logs so that it stays finite where x is as
+    small as e^shift is large."""
+    if shift == 0.0:
+        return x
+    with np.errstate(over="ignore", divide="ignore"):
+        return float(np.copysign(np.exp(np.log(abs(x)) + shift), x))
 
 
 def nu(s: CensoredSample, beta: float) -> float:
@@ -106,40 +153,27 @@ def nu(s: CensoredSample, beta: float) -> float:
         raise ValueError("beta must be > 0")
     if s.d2 < 1:
         raise DegenerateSampleError("need at least one observed failure")
-    coef, b, x_b = _weights(s)
     with np.errstate(over="ignore"):
-        total = float(coef @ np.expm1(s.times**beta))
-        if b > 0:
-            total += b * float(np.expm1(x_b**beta))
-    return total
+        return float(s.weights @ np.expm1(np.exp(beta * s.log_support)))
 
 
 def log_likelihood(p: ChenParams, s: CensoredSample) -> float:
     """Log-likelihood up to the parameter-free combinatorial constant."""
     _check_params(p)
-    x = s.times
-    t = x**p.beta
-    value = s.d2 * (np.log(p.alpha) + np.log(p.beta))
-    value += (p.beta - 1.0) * float(np.sum(np.log(x))) + float(np.sum(t))
-    value -= p.alpha * nu(s, p.beta)
-    return float(value)
+    sum_t = float(np.exp(p.beta * s.log_support[:s.d2]).sum())
+    value = s.d2 * (math.log(p.alpha) + math.log(p.beta))
+    value += (p.beta - 1.0) * s.sum_lnx + sum_t
+    return value - p.alpha * nu(s, p.beta)
 
 
 def score(p: ChenParams, s: CensoredSample) -> tuple[float, float]:
     """Gradient of the log-likelihood in (alpha, beta)."""
     _check_params(p)
-    x = s.times
-    lnx = np.log(x)
-    t = x**p.beta
-    coef, b, x_b = _weights(s)
+    sums = _sums(s, p.beta)
     s_alpha = s.d2 / p.alpha - nu(s, p.beta)
-    phi = np.exp(t) * t * lnx
-    phi_sum = float(coef @ phi)
-    if b > 0:
-        t_b = x_b**p.beta
-        phi_sum += b * float(np.exp(t_b) * t_b * np.log(x_b))
-    s_beta = s.d2 / p.beta + float(np.sum(lnx * (1.0 + t))) - p.alpha * phi_sum
-    return float(s_alpha), float(s_beta)
+    s_beta = (s.d2 / p.beta + s.sum_lnx + sums.t_lnx
+              - _unscale(p.alpha, sums.shift) * sums.phi)
+    return s_alpha, s_beta
 
 
 def alpha_profile(s: CensoredSample, beta: float) -> float:
@@ -152,136 +186,88 @@ def alpha_profile(s: CensoredSample, beta: float) -> float:
     return s.d2 / v
 
 
-def _phi_nu_ratio(s: CensoredSample, beta: float) -> float:
-    """(sum of weighted phi) / nu, computed with rescaling so that very
-    large x^beta (where e^(x^beta) overflows) still yields a finite ratio."""
-    coef, b, x_b = _weights(s)
-    x = s.times
-    lnx = np.log(x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        t = x**beta
-        if b > 0:
-            lnx_all = np.append(lnx, np.log(x_b))
-            t_all = np.append(t, x_b**beta)
-            coef_all = np.append(coef, b)
-        else:
-            lnx_all, t_all, coef_all = lnx, t, coef
-        tmax = float(np.max(t_all))
-        if tmax < 600.0:
-            num = float(coef_all @ (np.exp(t_all) * t_all * lnx_all))
-            den = float(coef_all @ np.expm1(t_all))
-            return num / den
-        # rescale by e^(-tmax); expm1 ~ exp well before any representable overflow
-        scale = np.exp(t_all - tmax)
-        num = float(coef_all @ (scale * t_all * lnx_all))
-        small = t_all <= 50.0
-        den_terms = scale.copy()
-        den_terms[small] = np.expm1(t_all[small]) * np.exp(-tmax)
-        den = float(coef_all @ den_terms)
-        return num / den
+def profile_score_and_slope(s: CensoredSample, beta: float) -> tuple[float, float]:
+    """Profile score h(beta) and its slope h'(beta) = -(I_bb - I_ab^2 / I_aa)
+    at alpha_hat(beta), from one pass over the support.
+
+    Both are nan where nu(beta) is not finite or has underflowed below the
+    smallest normal float, where its few remaining bits make h noise.
+    """
+    if beta <= 0:
+        raise ValueError("beta must be > 0")
+    sums = _sums(s, beta)
+    if not (_SMALLEST_NORMAL <= sums.nu < np.inf):
+        return math.nan, math.nan
+    d2 = s.d2
+    ratio = sums.phi / sums.nu
+    h = d2 / beta + s.sum_lnx + sums.t_lnx - d2 * ratio
+    slope = -d2 / beta**2 + sums.t_lnx2 - d2 * (sums.phi_xi / sums.nu - ratio * ratio)
+    return h, slope
 
 
 def profile_score(s: CensoredSample, beta: float) -> float:
-    """d/d beta of the log-likelihood with alpha profiled out."""
-    if beta <= 0:
-        raise ValueError("beta must be > 0")
-    x = s.times
-    lnx = np.log(x)
-    with np.errstate(over="ignore"):
-        t = x**beta
-        head = float(s.d2 / beta + np.sum(lnx * (1.0 + t)))
-    return head - s.d2 * _phi_nu_ratio(s, beta)
-
-
-def _g(s: CensoredSample, beta: float) -> float:
-    """Fixed-point map whose fixed point is the profile-score root."""
-    x = s.times
-    lnx = np.log(x)
-    with np.errstate(over="ignore"):
-        t = x**beta
-        denom = -float(np.sum(lnx * (1.0 + t))) / s.d2 + _phi_nu_ratio(s, beta)
-    if not np.isfinite(denom) or denom <= 0:
-        return np.nan
-    return 1.0 / denom
+    """d/d beta of the log-likelihood with alpha profiled out; nan where
+    nu(beta) is not computable (see `profile_score_and_slope`)."""
+    return profile_score_and_slope(s, beta)[0]
 
 
 def solve_beta(s: CensoredSample, opts: MleOptions | None = None) -> tuple[float, int, SolveMethod]:
-    """Profile MLE of beta: fixed-point iteration with a bracketed fallback."""
+    """Profile MLE of beta: Newton's method on the profile score, kept inside a
+    sign-change bracket by geometric bisection.
+
+    Each evaluation narrows the bracket (lo, hi), which starts as
+    `opts.bracket`: h > 0 raises lo, h < 0 or a non-finite h lowers hi.  A
+    Newton step that leaves the bracket, or that comes from a slope that is
+    not negative, is replaced by the geometric midpoint sqrt(lo * hi).  The
+    method is FIXED_POINT when only Newton steps were taken (Newton's method
+    is the fixed-point iteration of beta - h/h') and BRACKETED when at least
+    one bisection step was; `iterations` counts both kinds of step.
+    """
     opts = opts or MleOptions()
     if s.d2 < 2 or np.unique(s.times).size < 2:
         raise DegenerateSampleError("need at least two distinct failure times")
-    beta = opts.beta_init
-    iterations = 0
-    converged = False
-    best_step = np.inf
-    stalled = 0
-    for iterations in range(1, opts.max_iter + 1):
-        new = _g(s, beta)
-        if not np.isfinite(new) or new <= 0 or new > 1e6:
-            break
-        step = abs(new - beta)
-        if step < opts.tol:
-            beta = new
-            converged = True
-            break
-        # non-contractive maps cycle without shrinking; bail out to the
-        # bracketed solver once no progress is seen for a while
-        if step < best_step:
-            best_step = step
-            stalled = 0
-        else:
-            stalled += 1
-            if stalled >= 25:
-                beta = new
-                break
-        beta = new
-    if converged and np.isfinite(beta):
-        h = profile_score(s, beta)
-        if abs(h) < 1e-8 * (1.0 + abs(s.d2 / beta)):
-            return float(beta), iterations, SolveMethod.FIXED_POINT
-
     lo, hi = opts.bracket
-    grid = np.geomspace(lo, hi, 80)
-    vals = np.array([profile_score(s, float(g)) for g in grid])
-    finite = np.isfinite(vals)
-    signs = np.sign(vals)
-    idx = None
-    for j in range(len(grid) - 1):
-        if finite[j] and finite[j + 1] and signs[j] != 0 and signs[j] * signs[j + 1] < 0:
-            idx = j
-            break
-    if idx is None:
-        raise NoRootError(
-            "profile score has no sign change on "
-            f"({lo:g}, {hi:g}); endpoint values h(lo)={vals[finite][0] if finite.any() else np.nan:.4g}, "
-            f"h(hi)={vals[finite][-1] if finite.any() else np.nan:.4g}"
-        )
-    root = brentq(lambda bb: profile_score(s, bb), grid[idx], grid[idx + 1],
-                  xtol=1e-13, rtol=1e-14)
-    return float(root), iterations, SolveMethod.BRACKETED
+    # whether h(lo) > 0 and h(hi) < 0 have been seen, not merely assumed
+    lo_signed = hi_signed = False
+    beta = min(max(opts.beta_init, lo), hi)
+    method = SolveMethod.FIXED_POINT
+    for iterations in range(1, opts.max_iter + 1):
+        h, slope = profile_score_and_slope(s, beta)
+        if h > 0:
+            lo, lo_signed = beta, True
+        elif h < 0:
+            hi, hi_signed = beta, True
+        elif h == 0:
+            return beta, iterations, method
+        else:
+            # nu over- or underflows only as beta grows, so a point where h
+            # is not computable bounds the search from above
+            hi, hi_signed = beta, False
+        if slope < 0:
+            step = -h / slope
+            if abs(step) < opts.tol:
+                return beta + step, iterations, method
+            if lo < beta + step < hi:
+                beta += step
+                continue
+        if hi - lo < opts.tol:
+            if lo_signed and hi_signed:
+                return math.sqrt(lo * hi), iterations, method
+            raise NoRootError(
+                f"profile score has no sign change on ({opts.bracket[0]:g}, "
+                f"{opts.bracket[1]:g}); the search closed in at beta={beta:.6g}, h={h:.4g}")
+        method = SolveMethod.BRACKETED
+        beta = math.sqrt(lo * hi)
+    raise NoRootError(f"profile score root not reached in {opts.max_iter} steps")
 
 
 def observed_information(p: ChenParams, s: CensoredSample) -> np.ndarray:
     """Negative Hessian of the log-likelihood, evaluated at p."""
     _check_params(p)
-    x = s.times
-    lnx = np.log(x)
-    t = x**p.beta
-    coef, b, x_b = _weights(s)
-    phi = np.exp(t) * t * lnx
-    xi = lnx * (1.0 + t)
-    phi_sum = float(coef @ phi)
-    phixi_sum = float(coef @ (phi * xi))
-    if b > 0:
-        ln_b = np.log(x_b)
-        t_b = x_b**p.beta
-        phi_b = np.exp(t_b) * t_b * ln_b
-        xi_b = ln_b * (1.0 + t_b)
-        phi_sum += b * phi_b
-        phixi_sum += b * phi_b * xi_b
+    sums = _sums(s, p.beta)
     i_aa = s.d2 / p.alpha**2
-    i_ab = phi_sum
-    i_bb = s.d2 / p.beta**2 - float(np.sum(lnx**2 * t)) + p.alpha * phixi_sum
+    i_ab = _unscale(sums.phi, sums.shift)
+    i_bb = s.d2 / p.beta**2 - sums.t_lnx2 + _unscale(p.alpha, sums.shift) * sums.phi_xi
     return np.array([[i_aa, i_ab], [i_ab, i_bb]])
 
 
@@ -314,7 +300,7 @@ def confidence_intervals(mle_fit: MleFit, level: float = 0.95) -> ConfidenceInte
     var_a, var_b = mle_fit.varcov[0, 0], mle_fit.varcov[1, 1]
     if var_a <= 0 or var_b <= 0:
         raise ValueError("variance-covariance matrix has non-positive diagonal")
-    z = norm.ppf(0.5 + level / 2.0)
+    z = NormalDist().inv_cdf(0.5 + level / 2.0)
     a_hat = mle_fit.params_hat.alpha
     b_hat = mle_fit.params_hat.beta
     return ConfidenceIntervals(

@@ -99,6 +99,16 @@ class TestFit:
         assert len(grid) == 5
         assert all(pt["hazard"] > 0 for pt in grid)
 
+    def test_no_root_is_runtime_error_without_traceback(self, capsys, tmp_path):
+        data = tmp_path / "tiny.txt"
+        data.write_text("1.49e-9\n1.54e-9\n")
+        code, out, err = run_cli(capsys, "fit", "--data", str(data), "--n", "32",
+                                 "--m", "2", "--scheme", "12,18", "--t1", "1",
+                                 "--t2", "2", "--format", "json")
+        assert code == cli.RUNTIME_ERROR
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_missing_file_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "fit", "--data", "/nonexistent.txt",
                                "--complete")
@@ -149,6 +159,30 @@ class TestStudy:
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
         assert {r["parameter"] for r in rows} == {"alpha", "beta"}
+
+    def test_seed_zero_overrides_config_seed(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("CHEN_CENSOR_SEED", raising=False)
+        body = "n = 15\nm = 5\nscheme = I\nt1 = 0.4\nt2 = 4\nreps = 10\nestimators = mle\n"
+        outputs = {}
+        for name, text, flags in (("flag0", body + "seed = 5\n", ("--seed", "0")),
+                                  ("cfg0", body + "seed = 0\n", ()),
+                                  ("cfg5", body + "seed = 5\n", ())):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(text)
+            code, outputs[name], _ = run_cli(capsys, "study", "--config", str(cfg),
+                                             "--workers", "1", "--format", "csv", *flags)
+            assert code == 0
+        assert outputs["flag0"] == outputs["cfg0"]
+        assert outputs["flag0"] != outputs["cfg5"]
+
+    def test_reps_zero_is_not_replaced_by_config(self, capsys, tmp_path):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("n = 15\nm = 5\nscheme = I\nt1 = 0.4\nt2 = 4\n"
+                       "reps = 10\nseed = 5\nestimators = mle\n")
+        code, _, err = run_cli(capsys, "study", "--config", str(cfg), "--reps", "0",
+                               "--workers", "1")
+        assert code == 2
+        assert "replications" in err
 
     def test_missing_mode_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "study")

@@ -1,10 +1,11 @@
 """Likelihood, score, information and the profile solver against oracles."""
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from chencensor import mle
 from chencensor.censoring import CensoringPlan, classify, load_sample
-from chencensor.chen import ChenParams, pdf, survival
+from chencensor.chen import ChenParams, pdf, sample as chen_sample, survival
 from conftest import random_censored_sample
 
 PARAMS = [ChenParams(0.2, 0.5), ChenParams(0.8, 1.2), ChenParams(0.15, 0.7)]
@@ -127,6 +128,31 @@ class TestProfile:
             fd = (prof(beta + h) - prof(beta - h)) / (2 * h)
             assert mle.profile_score(s, beta) == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
+    def test_slope_matches_finite_difference_and_information(self, all_case_samples):
+        """h'(beta) is d/d beta of the profile score and -(I_bb - I_ab^2/I_aa)
+        of the observed information at (alpha_hat(beta), beta)."""
+        step = 1e-6
+        for s in all_case_samples:
+            for beta in (0.4, 0.8, 1.3):
+                h, slope = mle.profile_score_and_slope(s, beta)
+                assert h == mle.profile_score(s, beta)
+                fd = (mle.profile_score(s, beta + step)
+                      - mle.profile_score(s, beta - step)) / (2 * step)
+                assert slope == pytest.approx(fd, rel=1e-5)
+                info = mle.observed_information(
+                    ChenParams(mle.alpha_profile(s, beta), beta), s)
+                schur = info[1, 1] - info[0, 1] ** 2 / info[0, 0]
+                assert slope == pytest.approx(-schur, rel=1e-9)
+
+    def test_underflowing_nu_gives_nan_not_zero_division(self):
+        """x^beta underflows for these times well inside the search bracket."""
+        plan = CensoringPlan(32, 2, (12, 18), 1.0, 2.0)
+        s = classify([1.49e-9, 1.54e-9], plan)
+        assert np.isfinite(mle.profile_score(s, 1.0))
+        for beta in (40.0, 50.0):
+            assert np.isnan(mle.profile_score(s, beta))
+            assert np.isnan(mle.profile_score_and_slope(s, beta)).all()
+
 
 class TestFit:
     def test_fit_is_local_maximum(self, devices30):
@@ -153,6 +179,17 @@ class TestFit:
             # independent check: the profile score must vanish at the solution
             assert mle.profile_score(s, beta_hat) == pytest.approx(
                 0.0, abs=1e-6 * (1 + s.d2 / beta_hat))
+
+    def test_underflowing_nu_is_no_root(self):
+        plan = CensoringPlan(32, 2, (12, 18), 1.0, 2.0)
+        with pytest.raises(mle.NoRootError):
+            mle.fit(classify([1.49e-9, 1.54e-9], plan))
+
+    def test_max_iter_exhausted_is_no_root(self, devices30):
+        s = load_sample(devices30, CensoringPlan(30, 30, (0,) * 30, 1e12, 2e12))
+        _, iterations, _ = mle.solve_beta(s)
+        with pytest.raises(mle.NoRootError):
+            mle.solve_beta(s, mle.MleOptions(max_iter=iterations - 1))
 
     def test_varcov_inverts_information(self, devices30):
         plan = CensoringPlan(n=30, m=30, removals=(0,) * 30, t1=1e12, t2=2e12)
@@ -183,6 +220,46 @@ class TestFit:
         assert len(alphas) > 180
         assert abs(np.mean(alphas) - truth.alpha) < 0.05
         assert abs(np.mean(betas) - truth.beta) < 0.07
+
+
+def _oracle_root(s):
+    """Independent root of the profile score: the first sign change of a
+    geometric scan over the default bracket, refined by brentq; None when
+    the scan finds no sign change."""
+    lo, hi = mle.MleOptions().bracket
+    grid = np.geomspace(lo, hi, 200)
+    vals = np.array([mle.profile_score(s, float(b)) for b in grid])
+    for j in range(grid.size - 1):
+        if np.isfinite(vals[j]) and np.isfinite(vals[j + 1]) and vals[j] * vals[j + 1] < 0:
+            return brentq(lambda b: mle.profile_score(s, b), grid[j], grid[j + 1],
+                          xtol=1e-14, rtol=1e-15)
+    return None
+
+
+def _oracle_samples(devices30):
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        yield random_censored_sample(rng)[0]
+    plan = CensoringPlan(30, 30, (0,) * 30, 1e12, 2e12)
+    fitted = mle.fit(load_sample(devices30, plan)).params_hat
+    rng = np.random.default_rng(32)
+    for _ in range(300):
+        yield load_sample(chen_sample(fitted, rng, 30), plan)
+
+
+def test_solver_matches_brentq_oracle(devices30):
+    iterations = []
+    for s in _oracle_samples(devices30):
+        root = _oracle_root(s)
+        if root is None:
+            with pytest.raises(mle.NoRootError):
+                mle.solve_beta(s)
+            continue
+        beta, its, _ = mle.solve_beta(s)
+        assert beta == pytest.approx(root, rel=1e-9)
+        iterations.append(its)
+    assert len(iterations) > 500
+    assert np.median(iterations) <= 8
 
 
 class TestConfidenceIntervals:
