@@ -8,10 +8,11 @@ error, LINEX and entropy loss.
 """
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import gamma as gamma_dist
 
 from .censoring import CensoredSample
 from .chen import ChenParams
@@ -29,6 +30,7 @@ __all__ = [
     "log_posterior_kernel",
     "gibbs_draw_alpha",
     "mh_step_beta",
+    "run_mh_lockstep",
     "run_mh_gibbs",
     "importance_sample",
     "loss_estimates",
@@ -163,59 +165,110 @@ def mh_step_beta(s: CensoredSample, alpha: float, beta_current: float,
     return beta_current, False
 
 
+def run_mh_lockstep(samples: Sequence[CensoredSample], prior: GammaPrior,
+                    cfgs: Sequence[MhConfig]) -> list[MhChains]:
+    """Run one Metropolis-within-Gibbs chain per (sample, config) pair in lockstep.
+
+    Each iteration advances every chain by one exact alpha draw and one
+    random-walk MH move on beta.  The samples' weighted supports are padded
+    with zero weights to the width m + 1 of their shared plan, and each row
+    is reduced on its own, so a chain's path does not depend on which chains
+    share its batch.  Chain r pre-draws its uniforms, normals and alpha
+    gammas, in that order, from `default_rng(cfgs[r].seed)`.
+    """
+    if not samples or len(samples) != len(cfgs):
+        raise ValueError("need one MhConfig per sample, and at least one sample")
+    n = cfgs[0].chain_length
+    width = samples[0].plan.m + 1
+    if any(cfg.chain_length != n for cfg in cfgs) or any(
+            s.plan.m + 1 != width for s in samples):
+        raise ValueError("lockstep chains need one chain_length and one plan size m")
+
+    k = len(samples)
+    lnx = np.zeros((k, width))
+    weight = np.zeros((k, width))
+    # 1 on the failure times, for the sum of x^beta; where x_b^beta
+    # overflows, 0 * inf makes that sum nan and the move is rejected, as
+    # the infinite nu would reject it anyway
+    failure = np.zeros((k, width))
+    # state of each chain and of its proposal: beta, nu(beta) and the sum of
+    # x^beta over the failures; the named rows are views into them
+    cur = np.empty((3, k))
+    cand = np.empty((3, k))
+    diff = np.empty((3, k))
+    beta, nu_cur, _ = cur
+    proposal, _, _ = cand
+    d_beta, d_nu, d_sumt = diff
+    log_unif = np.empty((n, k))
+    steps = np.empty((n, k))
+    gammas = np.empty((n, k))
+    for r, (s, cfg) in enumerate(zip(samples, cfgs)):
+        lnx[r, :s.log_support.size] = s.log_support
+        weight[r, :s.weights.size] = s.weights
+        failure[r, :s.d2] = 1.0
+        init = cfg.init if cfg.init is not None else mle_fit(s).params_hat
+        sd = cfg.proposal_sd if cfg.proposal_sd is not None else max(0.1 * abs(init.beta), 0.01)
+        beta[r] = init.beta
+        rng = np.random.default_rng(cfg.seed)
+        log_unif[:, r] = rng.random(n)
+        steps[:, r] = sd * rng.standard_normal(n)
+        gammas[:, r] = rng.standard_gamma(s.d2 + prior.a, n)
+    np.log(log_unif, out=log_unif)
+    c1 = np.array([s.d2 for s in samples]) + prior.c - 1.0
+    drate = prior.d - np.array([s.sum_lnx for s in samples])
+    t = np.empty((k, width))
+
+    def beta_parts(state: np.ndarray) -> None:
+        np.multiply(state[0][:, None], lnx, out=t)
+        np.exp(t, out=t)
+        np.vecdot(failure, t, out=state[2])
+        np.expm1(t, out=t)
+        np.vecdot(weight, t, out=state[1])
+
+    alphas = np.empty((n, k))
+    betas = np.empty((n, k))
+    accepted = np.zeros(k, dtype=np.int64)
+    beta_parts(cur)
+    # a proposal <= 0 gives a nan or -inf delta; it is rejected below
+    with np.errstate(all="ignore"):
+        for h in range(n):
+            alpha = alphas[h]
+            np.multiply(gammas[h], 1.0 / (prior.b + nu_cur), out=alpha)
+            np.add(beta, steps[h], out=proposal)
+            beta_parts(cand)
+            np.subtract(cand, cur, out=diff)
+            delta = (c1 * np.log(proposal / beta)
+                     - d_beta * drate
+                     + d_sumt
+                     - alpha * d_nu)
+            move = (proposal > 0) & (log_unif[h] < delta)
+            np.copyto(cur, cand, where=move)
+            accepted += move
+            betas[h] = beta
+    alphas, betas = alphas.T.copy(), betas.T.copy()
+    chains = []
+    for r, cfg in enumerate(cfgs):
+        rate = float(accepted[r] / n)
+        chains.append(MhChains(
+            alpha=alphas[r],
+            beta=betas[r],
+            burn_in=cfg.burn_in,
+            acceptance_rate=rate,
+            acceptance_warning=not (0.1 <= rate <= 0.6),
+        ))
+    return chains
+
+
 def run_mh_gibbs(s: CensoredSample, prior: GammaPrior,
                  cfg: MhConfig | None = None) -> MhChains:
     """Alternate the exact alpha draw and the beta MH step for N iterations."""
-    cfg = cfg or MhConfig()
-    rng = np.random.default_rng(cfg.seed)
-    if cfg.init is not None:
-        init = cfg.init
-    else:
-        init = mle_fit(s).params_hat
-    sd = cfg.proposal_sd if cfg.proposal_sd is not None else max(0.1 * abs(init.beta), 0.01)
+    return run_mh_lockstep([s], prior, [cfg or MhConfig()])[0]
 
-    lnx_all, coef_all = s.log_support, s.weights
-    drate = prior.d - s.sum_lnx
-    c1 = s.d2 + prior.c - 1.0
-    shape_a = s.d2 + prior.a
-    d2 = s.d2
 
-    def beta_parts(beta: float) -> tuple[float, float]:
-        t_all = np.exp(beta * lnx_all)
-        nu_val = float(coef_all @ np.expm1(t_all))
-        sum_t = float(t_all[:d2].sum())
-        return nu_val, sum_t
-
-    n = cfg.chain_length
-    alphas = np.empty(n)
-    betas = np.empty(n)
-    beta = init.beta
-    nu_cur, sumt_cur = beta_parts(beta)
-    accepted = 0
-    log_unif = np.log(rng.random(n))
-    steps = sd * rng.standard_normal(n)
-    for h in range(n):
-        alpha = rng.gamma(shape=shape_a, scale=1.0 / (prior.b + nu_cur))
-        proposal = beta + steps[h]
-        if proposal > 0:
-            nu_p, sumt_p = beta_parts(proposal)
-            delta = (c1 * np.log(proposal / beta)
-                     - (proposal - beta) * drate
-                     + (sumt_p - sumt_cur)
-                     - alpha * (nu_p - nu_cur))
-            if log_unif[h] < delta:
-                beta, nu_cur, sumt_cur = proposal, nu_p, sumt_p
-                accepted += 1
-        alphas[h] = alpha
-        betas[h] = beta
-    rate = accepted / n
-    return MhChains(
-        alpha=alphas,
-        beta=betas,
-        burn_in=cfg.burn_in,
-        acceptance_rate=rate,
-        acceptance_warning=not (0.1 <= rate <= 0.6),
-    )
+def _gamma_logpdf(x, shape: float, rate):
+    """Log-density of Gamma(shape, rate) at x > 0."""
+    xr = x * rate
+    return (shape - 1.0) * np.log(xr) - xr - math.lgamma(shape) + np.log(rate)
 
 
 def importance_sample(s: CensoredSample, prior: GammaPrior,
@@ -259,8 +312,8 @@ def importance_sample(s: CensoredSample, prior: GammaPrior,
         )
         log_w = (
             log_kernel
-            - gamma_dist.logpdf(betas, shape_b, scale=1.0 / drate)
-            - gamma_dist.logpdf(alphas, shape_a, scale=1.0 / cens_rate)
+            - _gamma_logpdf(betas, shape_b, drate)
+            - _gamma_logpdf(alphas, shape_a, cens_rate)
         )
     # proposal draws far enough in the beta tail overflow e^(x^beta); their
     # target density is zero there, so they carry no weight
@@ -319,6 +372,7 @@ def loss_estimates(result: MhChains | IsDraws,
         diagnostics = {
             "sampler": "is",
             "effective_sample_size": float(1.0 / np.max(w)),
+            "kish_ess": float(1.0 / (w @ w)),
             "weight_entropy": float(-np.sum(w * np.log(np.where(w > 0, w, 1.0)))),
             "draws": int(alpha.size),
         }

@@ -22,6 +22,10 @@ __all__ = [
 
 SCHEME_KINDS = ("I", "II", "III", "IV")
 
+# replications whose MH chains step together in one lockstep call; bounds
+# the (chain_length, block) arrays of pre-drawn streams a block holds
+MH_BLOCK = 256
+
 # frozen report schema: one row per scenario x estimator x parameter x loss
 REPORT_COLUMNS = (
     "n", "m", "scheme", "t1", "t2", "estimator", "parameter", "loss",
@@ -79,6 +83,8 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if not 0.0 < self.ci_level < 1.0:
+            raise ValueError("ci_level must lie in (0, 1)")
         bad = set(self.estimators) - {"mle", "mh", "is"}
         if bad:
             raise ValueError(f"unknown estimators: {sorted(bad)}")
@@ -106,8 +112,16 @@ class StudyReport:
         return out
 
 
-def _one_replication(scn: Scenario, plan: CensoringPlan, rep: int) -> dict:
-    """Simulate and estimate once; per-replication counter-based RNG stream."""
+def _one_replication(scn: Scenario, plan: CensoringPlan, rep: int,
+                     mh_queue: list | None = None) -> dict:
+    """Simulate and estimate once; per-replication counter-based RNG stream.
+
+    The stream gives, in order: the sample, the MH seed (drawn only when
+    the fit succeeded) and the IS seed.  Given `mh_queue`, the MH chain is
+    left to the caller: (record, sample, config) is appended to the queue
+    and `_run_mh_queue` fills in the record's MH estimates later.
+    """
+    queue = [] if mh_queue is None else mh_queue
     rng = np.random.default_rng([scn.seed, rep])
     sample = simulate_experiment(plan, scn.true_params, rng)
     out: dict = {"case": sample.case.value}
@@ -118,29 +132,28 @@ def _one_replication(scn: Scenario, plan: CensoringPlan, rep: int) -> dict:
         except (mle.DegenerateSampleError, mle.NoRootError):
             fit_result = None
     if "mle" in scn.estimators:
-        if fit_result is None:
-            out["mle"] = None
-        else:
-            ci = mle.confidence_intervals(fit_result, scn.ci_level)
-            out["mle"] = {
-                "alpha": fit_result.params_hat.alpha,
-                "beta": fit_result.params_hat.beta,
-                "alpha_ci": ci.alpha_interval,
-                "beta_ci": ci.beta_interval,
-            }
+        out["mle"] = None
+        if fit_result is not None:
+            try:
+                ci = mle.confidence_intervals(fit_result, scn.ci_level)
+            except ValueError:  # a non-positive variance: no Wald interval
+                pass
+            else:
+                out["mle"] = {
+                    "alpha": fit_result.params_hat.alpha,
+                    "beta": fit_result.params_hat.beta,
+                    "alpha_ci": ci.alpha_interval,
+                    "beta_ci": ci.beta_interval,
+                }
     if "mh" in scn.estimators:
-        if fit_result is None:
-            out["mh"] = None
-        else:
-            cfg = bayes.MhConfig(
+        out["mh"] = None
+        if fit_result is not None:
+            queue.append((out, sample, bayes.MhConfig(
                 chain_length=scn.mh_chain_length,
                 burn_in=scn.mh_burn_in,
                 init=fit_result.params_hat,
                 seed=int(rng.integers(2**63)),
-            )
-            chains = bayes.run_mh_gibbs(sample, scn.prior, cfg)
-            est = bayes.loss_estimates(chains, scn.loss)
-            out["mh"] = {"alpha": est.alpha, "beta": est.beta}
+            )))
     if "is" in scn.estimators:
         try:
             draws = bayes.importance_sample(
@@ -150,7 +163,27 @@ def _one_replication(scn: Scenario, plan: CensoringPlan, rep: int) -> dict:
             out["is"] = {"alpha": est.alpha, "beta": est.beta}
         except bayes.ProposalInvalidError:
             out["is"] = None
+    if mh_queue is None:
+        _run_mh_queue(scn, queue)
     return out
+
+
+def _run_mh_queue(scn: Scenario, queue: list) -> None:
+    """Step the queued MH chains together; fill in their records' estimates."""
+    if not queue:
+        return
+    records, samples, cfgs = zip(*queue)
+    for record, chains in zip(records, bayes.run_mh_lockstep(samples, scn.prior, cfgs)):
+        est = bayes.loss_estimates(chains, scn.loss)
+        record["mh"] = {"alpha": est.alpha, "beta": est.beta}
+
+
+def _replicate_block(scn: Scenario, plan: CensoringPlan, start: int, stop: int) -> list[dict]:
+    """Replications start..stop-1, their MH chains stepped in one lockstep call."""
+    queue: list = []
+    records = [_one_replication(scn, plan, rep, queue) for rep in range(start, stop)]
+    _run_mh_queue(scn, queue)
+    return records
 
 
 def _aggregate(scn: Scenario, results: list[dict]) -> StudyReport:
@@ -198,16 +231,23 @@ def _aggregate(scn: Scenario, results: list[dict]) -> StudyReport:
 
 
 def run_study(scn: Scenario, workers: int = 1) -> StudyReport:
-    """Replicate the scenario and aggregate bias/MSE (and CI metrics for MLE)."""
+    """Replicate the scenario and aggregate bias/MSE (and CI metrics for MLE).
+
+    Replications run in contiguous blocks of at most `MH_BLOCK`, split
+    evenly over the workers; the rows do not depend on the split.
+    """
     plan = scn.plan()
-    reps = range(scn.replications)
+    total = scn.replications
+    size = min(MH_BLOCK, -(-total // max(workers, 1)))
+    starts = range(0, total, size)
+    stops = [min(start + size, total) for start in starts]
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_one_replication, [scn] * scn.replications,
-                                    [plan] * scn.replications, reps, chunksize=16))
+            blocks = list(pool.map(_replicate_block, [scn] * len(stops),
+                                   [plan] * len(stops), starts, stops))
     else:
-        results = [_one_replication(scn, plan, rep) for rep in reps]
-    return _aggregate(scn, results)
+        blocks = [_replicate_block(scn, plan, a, b) for a, b in zip(starts, stops)]
+    return _aggregate(scn, [record for block in blocks for record in block])
 
 
 def paper_grid(replications: int = 2000, seed: int = 0,

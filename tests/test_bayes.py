@@ -4,7 +4,7 @@ import pytest
 from scipy import integrate, stats
 
 from chencensor import bayes, mle
-from chencensor.censoring import CensoringPlan, classify, load_sample
+from chencensor.censoring import CensoringPlan, classify, load_sample, simulate_experiment
 from chencensor.chen import ChenParams
 
 PRIOR = bayes.GammaPrior(2.0, 2.0, 2.0, 2.0)
@@ -133,6 +133,100 @@ class TestRunMhGibbs:
             bayes.MhConfig(proposal_sd=-0.1)
 
 
+def lockstep_batch(count=8, chain_length=600):
+    """Fitted samples of two m = 20 plans, mixing censoring cases 1-3, so
+    rows carry different support sizes and some end in zero padding.  Rows
+    this wide sum in blocks, so a pad width that followed the batch would
+    change the rounding of nu."""
+    plans = (CensoringPlan(n=40, m=20, removals=(1,) * 20, t1=1.0, t2=3.0),
+             CensoringPlan(n=40, m=20, removals=(1,) * 20, t1=5.0, t2=10.0))
+    rng = np.random.default_rng(12)
+    samples, cfgs = [], []
+    while len(samples) < count:
+        s = simulate_experiment(plans[len(samples) % 2], ChenParams(0.2, 0.5), rng)
+        try:
+            init = mle.fit(s).params_hat
+        except (mle.DegenerateSampleError, mle.NoRootError):
+            continue
+        samples.append(s)
+        cfgs.append(bayes.MhConfig(chain_length=chain_length, burn_in=100, init=init,
+                                   seed=100 + len(samples)))
+    return samples, cfgs
+
+
+def reference_chain(s, prior, cfg):
+    """One chain by the scalar loop the lockstep kernel replaced: the same
+    streams (uniforms, normals, then one gamma draw per iteration) and the
+    same arithmetic over the unpadded support."""
+    rng = np.random.default_rng(cfg.seed)
+    beta = cfg.init.beta
+    sd = max(0.1 * abs(beta), 0.01)
+    drate = prior.d - s.sum_lnx
+    c1 = s.d2 + prior.c - 1.0
+
+    def parts(b):
+        t = np.exp(b * s.log_support)
+        return float(s.weights @ np.expm1(t)), float(t[:s.d2].sum())
+
+    n = cfg.chain_length
+    alphas, betas = np.empty(n), np.empty(n)
+    nu_cur, sumt_cur = parts(beta)
+    log_unif = np.log(rng.random(n))
+    steps = sd * rng.standard_normal(n)
+    accepted = 0
+    for h in range(n):
+        alpha = rng.gamma(shape=s.d2 + prior.a, scale=1.0 / (prior.b + nu_cur))
+        proposal = beta + steps[h]
+        if proposal > 0:
+            nu_p, sumt_p = parts(proposal)
+            delta = (c1 * np.log(proposal / beta) - (proposal - beta) * drate
+                     + (sumt_p - sumt_cur) - alpha * (nu_p - nu_cur))
+            if log_unif[h] < delta:
+                beta, nu_cur, sumt_cur = proposal, nu_p, sumt_p
+                accepted += 1
+        alphas[h], betas[h] = alpha, beta
+    return alphas, betas, accepted / n
+
+
+class TestLockstep:
+    def test_rows_equal_single_chains_bit_for_bit(self):
+        samples, cfgs = lockstep_batch()
+        assert {s.case.value for s in samples} == {1, 2, 3}
+        batch = bayes.run_mh_lockstep(samples, PRIOR, cfgs)
+        reordered = bayes.run_mh_lockstep(samples[::-1], PRIOR, cfgs[::-1])[::-1]
+        for s, cfg, row, other in zip(samples, cfgs, batch, reordered):
+            solo = bayes.run_mh_gibbs(s, PRIOR, cfg)
+            for chains in (row, other):
+                np.testing.assert_array_equal(chains.alpha, solo.alpha)
+                np.testing.assert_array_equal(chains.beta, solo.beta)
+                assert chains.acceptance_rate == solo.acceptance_rate
+
+    def test_matches_scalar_reference_loop(self):
+        """Padding changes only the summation order of nu, so the chains
+        agree with the scalar loop to rounding."""
+        samples, cfgs = lockstep_batch()
+        for s, cfg, chains in zip(samples, cfgs, bayes.run_mh_lockstep(samples, PRIOR, cfgs)):
+            alphas, betas, rate = reference_chain(s, PRIOR, cfg)
+            np.testing.assert_allclose(chains.alpha, alphas, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(chains.beta, betas, rtol=1e-12, atol=0)
+            assert chains.acceptance_rate == rate
+            assert chains.burn_in == cfg.burn_in
+
+    def test_rejects_mismatched_batches(self):
+        samples, cfgs = lockstep_batch(count=2)
+        with pytest.raises(ValueError):
+            bayes.run_mh_lockstep([], PRIOR, [])
+        with pytest.raises(ValueError):
+            bayes.run_mh_lockstep(samples, PRIOR, cfgs[:1])
+        longer = bayes.MhConfig(chain_length=700, burn_in=100, init=cfgs[1].init, seed=1)
+        with pytest.raises(ValueError, match="chain_length"):
+            bayes.run_mh_lockstep(samples, PRIOR, [cfgs[0], longer])
+        other_m = classify(np.array([0.5, 1.0]),
+                           CensoringPlan(n=10, m=3, removals=(2, 2, 3), t1=4.0, t2=10.0))
+        with pytest.raises(ValueError, match="plan size"):
+            bayes.run_mh_lockstep([samples[0], other_m], PRIOR, cfgs)
+
+
 class TestImportanceSampling:
     def test_refuses_invalid_proposal(self, devices30):
         """sum(ln x) above the prior rate d breaks the beta proposal."""
@@ -152,6 +246,39 @@ class TestImportanceSampling:
         ess = result.diagnostics["effective_sample_size"]
         assert ess == pytest.approx(1.0 / np.max(w), rel=1e-9)
         assert 1.0 <= ess <= draws.alpha.size
+
+    def test_kish_ess(self, devices30):
+        s = scaled_device_sample(devices30)
+        draws = bayes.importance_sample(s, PRIOR, bayes.IsConfig(draws=5000, seed=9))
+        w = np.exp(draws.log_weight)
+        w /= w.sum()
+        diagnostics = bayes.loss_estimates(draws).diagnostics
+        assert diagnostics["kish_ess"] == pytest.approx(1.0 / np.sum(w**2), rel=1e-12)
+        assert diagnostics["effective_sample_size"] <= diagnostics["kish_ess"] <= w.size
+
+    def test_log_weights_match_scipy_oracle(self, devices30):
+        """Target kernel minus the two gamma proposal log-densities, with
+        scipy's gamma.logpdf and nu summed term by term."""
+        s = scaled_device_sample(devices30)
+        draws = bayes.importance_sample(s, PRIOR, bayes.IsConfig(draws=3000, seed=13))
+        shape_a, shape_b = s.d2 + PRIOR.a, s.d2 + PRIOR.c
+        drate = PRIOR.d - float(np.sum(np.log(s.times)))
+        removed = s.effective_removals
+        expected = []
+        for alpha, beta in zip(draws.alpha, draws.beta):
+            e = np.expm1(s.times**beta)
+            e_b = np.expm1(s.x_b**beta) if s.b > 0 else 0.0
+            cens = float(removed @ e) + s.b * e_b
+            nu_all = float(e.sum()) + cens
+            kernel = ((shape_a - 1) * np.log(alpha) - alpha * (PRIOR.b + nu_all)
+                      + (shape_b - 1) * np.log(beta) - beta * drate
+                      + float(np.sum(s.times**beta)))
+            expected.append(kernel
+                            - stats.gamma.logpdf(beta, shape_b, scale=1.0 / drate)
+                            - stats.gamma.logpdf(alpha, shape_a, scale=1.0 / (PRIOR.b + cens)))
+        expected = np.array(expected)
+        expected -= expected.max()
+        np.testing.assert_allclose(draws.log_weight, expected, rtol=0, atol=1e-12)
 
     def test_deterministic_given_seed(self, devices30):
         s = scaled_device_sample(devices30)

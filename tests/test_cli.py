@@ -134,6 +134,18 @@ class TestBayes:
         assert abs(payload["alpha"]["linex"] - payload["alpha"]["sel"]) \
             < 1e-4 * payload["alpha"]["sel"]
 
+    def test_is_reports_kish_ess(self, capsys, tmp_path):
+        # times below 1 keep sum(ln x) under the prior rate d
+        data = tmp_path / "scaled.txt"
+        data.write_text("\n".join(str(x / 10.0) for x in load_builtin("devices30")))
+        code, out, _ = run_cli(capsys, "bayes", "--data", str(data), "--complete",
+                               "--sampler", "is", "--draws", "2000", "--seed", "3",
+                               "--format", "json")
+        assert code == 0
+        diagnostics = json.loads(out)["diagnostics"]
+        assert diagnostics["sampler"] == "is"
+        assert diagnostics["effective_sample_size"] <= diagnostics["kish_ess"] <= 2000
+
     def test_is_refused_when_proposal_invalid(self, capsys):
         # sum(ln x) for the device data exceeds the default prior rate d
         code, _, err = run_cli(capsys, "bayes", "--data", "builtin:devices30",
@@ -232,3 +244,13 @@ class TestConsoleEntry:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)
+
+    def test_import_loads_no_scipy(self):
+        """scipy is a test dependency only: the CLI must not import it."""
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, chencensor.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

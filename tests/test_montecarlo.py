@@ -1,7 +1,10 @@
 """Scheme construction, scenario validation and study aggregation."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from chencensor import bayes
 from chencensor import montecarlo as mc
 from chencensor.chen import ChenParams
 
@@ -121,12 +124,60 @@ class TestRunStudy:
         b = mc.run_study(mc.Scenario(seed=2, **base)).to_rows()
         assert a != b
 
-    def test_replications_independent_of_batching(self):
-        """Counter-based per-replication streams: rep r gives the same
-        sample regardless of how many replications run before it."""
+    def test_replications_independent_of_batching(self, monkeypatch):
+        """Counter-based per-replication streams and row-by-row lockstep MH:
+        rep r gives the same record regardless of how many replications run
+        before it, which block it shares and how many workers run."""
         scn = mc.Scenario(n=15, m=5, scheme="I", t1=0.4, t2=4.0,
-                          true_params=TRUTH, replications=5, seed=4)
+                          true_params=TRUTH, replications=5, seed=4,
+                          estimators=frozenset({"mle", "mh", "is"}))
         plan = scn.plan()
         solo = mc._one_replication(scn, plan, 3)
         again = mc._one_replication(scn, plan, 3)
         assert solo == again
+        assert solo["mh"] is not None
+        assert mc._replicate_block(scn, plan, 0, 5)[3] == solo
+        assert mc._replicate_block(replace(scn, replications=20), plan, 0, 20)[3] == solo
+
+        queue = []
+        for rep in range(5):
+            mc._one_replication(scn, plan, rep, queue)
+        _, samples, cfgs = zip(*queue)
+        rows = bayes.run_mh_lockstep(samples, scn.prior, cfgs)
+        alone = bayes.run_mh_gibbs(samples[3], scn.prior, cfgs[3])
+        np.testing.assert_array_equal(alone.alpha, rows[3].alpha)
+        np.testing.assert_array_equal(alone.beta, rows[3].beta)
+
+        rows_1 = mc.run_study(scn, workers=1).to_rows()
+        assert mc.run_study(scn, workers=2).to_rows() == rows_1
+        assert mc.run_study(scn, workers=0).to_rows() == rows_1  # one process
+        monkeypatch.setattr(mc, "MH_BLOCK", 2)
+        assert mc.run_study(scn, workers=1).to_rows() == rows_1
+
+    def test_interval_failure_is_an_mle_failure(self, monkeypatch):
+        """A ValueError from the Wald intervals drops that replication's MLE
+        row only; MH and IS still run from the fit."""
+        scn = mc.Scenario(n=15, m=5, scheme="I", t1=0.4, t2=4.0,
+                          true_params=TRUTH, replications=6, seed=4,
+                          estimators=frozenset({"mle", "mh", "is"}))
+        base = mc.run_study(scn)
+        real = mc.mle.confidence_intervals
+        calls = []
+
+        def second_call_fails(fit, level=0.95):
+            calls.append(fit)
+            if len(calls) == 2:
+                raise ValueError("variance-covariance matrix has non-positive diagonal")
+            return real(fit, level)
+
+        monkeypatch.setattr(mc.mle, "confidence_intervals", second_call_fails)
+        report = mc.run_study(scn)
+        assert len(calls) == scn.replications - base.failures["mle"]
+        assert report.failures == {**base.failures, "mle": base.failures["mle"] + 1}
+        bayes_rows = [r for r in base.to_rows() if r["estimator"] != "mle"]
+        assert [r for r in report.to_rows() if r["estimator"] != "mle"] == bayes_rows
+
+    def test_ci_level_validated(self):
+        with pytest.raises(ValueError, match="ci_level"):
+            mc.Scenario(n=15, m=5, scheme="I", t1=0.4, t2=4.0,
+                        true_params=TRUTH, ci_level=1.0)
