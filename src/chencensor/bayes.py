@@ -16,7 +16,7 @@ import numpy as np
 
 from .censoring import CensoredSample
 from .chen import ChenParams
-from .mle import fit as mle_fit, nu
+from .mle import _sample_sums, _support_sums, fit as mle_fit, nu
 
 __all__ = [
     "GammaPrior",
@@ -120,10 +120,10 @@ def log_posterior_kernel(p: ChenParams, s: CensoredSample, prior: GammaPrior) ->
     """Log of the unnormalized joint posterior density at p."""
     if p.alpha <= 0 or p.beta <= 0:
         raise ValueError("parameters must be positive")
-    sum_t = float(np.sum(s.times**p.beta))
+    sum_t, v = _sample_sums(s, p.beta)
     return float(
         (s.d2 + prior.a - 1.0) * np.log(p.alpha)
-        - p.alpha * (prior.b + nu(s, p.beta))
+        - p.alpha * (prior.b + v)
         + (s.d2 + prior.c - 1.0) * np.log(p.beta)
         - p.beta * (prior.d - s.sum_lnx)
         + sum_t
@@ -137,15 +137,15 @@ def gibbs_draw_alpha(s: CensoredSample, beta: float, prior: GammaPrior,
     return float(rng.gamma(shape=s.d2 + prior.a, scale=1.0 / rate))
 
 
-def _beta_logkernel(s: CensoredSample, alpha: float, beta: float, prior: GammaPrior,
-                    sum_lnx: float) -> float:
+def _beta_logkernel(s: CensoredSample, alpha: float, beta: float,
+                    prior: GammaPrior) -> float:
     """All beta-dependent terms of the joint log-kernel at fixed alpha."""
-    sum_t = float(np.sum(s.times**beta))
+    sum_t, v = _sample_sums(s, beta)
     return float(
         (s.d2 + prior.c - 1.0) * np.log(beta)
-        - beta * (prior.d - sum_lnx)
+        - beta * (prior.d - s.sum_lnx)
         + sum_t
-        - alpha * nu(s, beta)
+        - alpha * v
     )
 
 
@@ -158,8 +158,8 @@ def mh_step_beta(s: CensoredSample, alpha: float, beta_current: float,
     proposal = beta_current + proposal_sd * rng.standard_normal()
     if proposal <= 0:
         return beta_current, False
-    delta = (_beta_logkernel(s, alpha, proposal, prior, s.sum_lnx)
-             - _beta_logkernel(s, alpha, beta_current, prior, s.sum_lnx))
+    delta = (_beta_logkernel(s, alpha, proposal, prior)
+             - _beta_logkernel(s, alpha, beta_current, prior))
     if np.log(rng.random()) < delta:
         return proposal, True
     return beta_current, False
@@ -185,27 +185,21 @@ def run_mh_lockstep(samples: Sequence[CensoredSample], prior: GammaPrior,
         raise ValueError("lockstep chains need one chain_length and one plan size m")
 
     k = len(samples)
-    lnx = np.zeros((k, width))
-    weight = np.zeros((k, width))
-    # 1 on the failure times, for the sum of x^beta; where x_b^beta
-    # overflows, 0 * inf makes that sum nan and the move is rejected, as
-    # the infinite nu would reject it anyway
-    failure = np.zeros((k, width))
-    # state of each chain and of its proposal: beta, nu(beta) and the sum of
-    # x^beta over the failures; the named rows are views into them
+    support = np.zeros((3, k, width))
+    lnx, weight, failure = support
+    # state of each chain and of its proposal: beta, the sum of x^beta over
+    # the failures and nu(beta); the named rows are views into them
     cur = np.empty((3, k))
     cand = np.empty((3, k))
     diff = np.empty((3, k))
-    beta, nu_cur, _ = cur
-    proposal, _, _ = cand
-    d_beta, d_nu, d_sumt = diff
+    beta, _, nu_cur = cur
+    proposal = cand[0]
+    d_beta, d_sumt, d_nu = diff
     log_unif = np.empty((n, k))
     steps = np.empty((n, k))
     gammas = np.empty((n, k))
     for r, (s, cfg) in enumerate(zip(samples, cfgs)):
-        lnx[r, :s.log_support.size] = s.log_support
-        weight[r, :s.weights.size] = s.weights
-        failure[r, :s.d2] = 1.0
+        support[:, r, :s.weights.size] = s.log_support, s.weights, s.failure
         init = cfg.init if cfg.init is not None else mle_fit(s).params_hat
         sd = cfg.proposal_sd if cfg.proposal_sd is not None else max(0.1 * abs(init.beta), 0.01)
         beta[r] = init.beta
@@ -216,26 +210,17 @@ def run_mh_lockstep(samples: Sequence[CensoredSample], prior: GammaPrior,
     np.log(log_unif, out=log_unif)
     c1 = np.array([s.d2 for s in samples]) + prior.c - 1.0
     drate = prior.d - np.array([s.sum_lnx for s in samples])
-    t = np.empty((k, width))
-
-    def beta_parts(state: np.ndarray) -> None:
-        np.multiply(state[0][:, None], lnx, out=t)
-        np.exp(t, out=t)
-        np.vecdot(failure, t, out=state[2])
-        np.expm1(t, out=t)
-        np.vecdot(weight, t, out=state[1])
-
     alphas = np.empty((n, k))
     betas = np.empty((n, k))
     accepted = np.zeros(k, dtype=np.int64)
-    beta_parts(cur)
-    # a proposal <= 0 gives a nan or -inf delta; it is rejected below
+    # a proposal <= 0 gives a nan or -inf delta, and so does one whose
+    # x_b^beta overflows; either is rejected below
     with np.errstate(all="ignore"):
+        cur[1], cur[2] = _support_sums(lnx, weight, failure, beta)
         for h in range(n):
-            alpha = alphas[h]
-            np.multiply(gammas[h], 1.0 / (prior.b + nu_cur), out=alpha)
+            alpha = np.multiply(gammas[h], 1.0 / (prior.b + nu_cur), out=alphas[h])
             np.add(beta, steps[h], out=proposal)
-            beta_parts(cand)
+            cand[1], cand[2] = _support_sums(lnx, weight, failure, proposal)
             np.subtract(cand, cur, out=diff)
             delta = (c1 * np.log(proposal / beta)
                      - d_beta * drate
@@ -291,18 +276,13 @@ def importance_sample(s: CensoredSample, prior: GammaPrior,
     shape_a = s.d2 + prior.a
     betas = rng.gamma(shape=shape_b, scale=1.0 / drate, size=cfg.draws)
 
-    d2 = s.d2
-    # the alpha proposal's rate keeps only the censored units' terms of nu
-    cens_weights = s.weights.copy()
-    cens_weights[:d2] -= 1.0  # R_i per failure; b at the terminal time stays
+    # nu of all units and of the censored ones alone (weights R_i, then b),
+    # which is all the alpha proposal's rate keeps
+    weights = np.stack((s.weights, s.weights - s.failure))[:, None]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        t = np.exp(np.outer(betas, s.log_support))  # (draws, support)
-        w = np.expm1(t)
-        cens = w @ cens_weights
+        sum_t, (nu_all, cens) = _support_sums(s.log_support, weights, s.failure, betas)
         cens_rate = prior.b + cens
         alphas = rng.gamma(shape=shape_a, scale=1.0 / cens_rate)
-        nu_all = w[:, :d2].sum(axis=1) + cens
-        sum_t = t[:, :d2].sum(axis=1)
         log_kernel = (
             (shape_a - 1.0) * np.log(alphas)
             - alphas * (prior.b + nu_all)

@@ -74,8 +74,8 @@ class CensoredSample:
 
     The likelihood's weighted support is cached once per sample:
     `log_support` holds ln x_i for the d2 failures, then ln x_b when b > 0;
-    `weights` holds 1 + R_i for the failures, then b; `sum_lnx` is the sum
-    of ln x_i over the failures.
+    `weights` holds 1 + R_i for the failures, then b; `failure` holds 1 for
+    the failures, then 0; `sum_lnx` is the sum of ln x_i over the failures.
     """
 
     times: np.ndarray
@@ -90,6 +90,7 @@ class CensoredSample:
     plan: CensoringPlan = field(repr=False)
     log_support: np.ndarray = field(init=False, repr=False, compare=False)
     weights: np.ndarray = field(init=False, repr=False, compare=False)
+    failure: np.ndarray = field(init=False, repr=False, compare=False)
     sum_lnx: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -111,10 +112,11 @@ class CensoredSample:
                 coef_all = np.append(coef, float(self.b))
             else:
                 lnx_all, coef_all = lnx, coef
-        lnx_all.flags.writeable = False
-        coef_all.flags.writeable = False
-        object.__setattr__(self, "log_support", lnx_all)
-        object.__setattr__(self, "weights", coef_all)
+        failure = (np.arange(lnx_all.size) < self.d2).astype(float)
+        for name, arr in (("log_support", lnx_all), ("weights", coef_all),
+                          ("failure", failure)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "sum_lnx", float(np.sum(lnx)))
 
 

@@ -4,8 +4,10 @@ The profile structure is exploited: for fixed beta the alpha score is
 linear in 1/alpha, giving alpha_hat(beta) = d2 / nu(beta) in closed form.
 beta_hat is the root of the profile score h(beta), found by Newton's method
 from `MleOptions.beta_init` and kept inside a sign-change bracket by
-geometric bisection.  h and its slope come from one pass over the sample's
-cached weighted support, rescaled where e^(x^beta) would overflow.
+geometric bisection.  Two functions form sums over the sample's cached
+weighted support: `_sums` at one beta, rescaled where e^(x^beta) would
+overflow, for h, its slope, the information and `fit`; and `_support_sums`,
+the batched value kernel, for `nu`, the likelihood and the Bayesian samplers.
 Asymptotic confidence intervals come from the inverse observed information.
 """
 from __future__ import annotations
@@ -108,6 +110,7 @@ class _Sums(NamedTuple):
     nu: float       # sum w (e^t - 1)
     phi: float      # sum w phi,    phi = e^t t ln x
     phi_xi: float   # sum w phi xi, xi = ln x (1 + t)
+    t: float        # sum of t over the failures
     t_lnx: float    # sum of t ln x over the failures
     t_lnx2: float   # sum of t (ln x)^2 over the failures
 
@@ -134,8 +137,30 @@ def _sums(s: CensoredSample, beta: float) -> _Sums:
         phi = float(we @ t_lnx)
         phi_xi = float(we @ (t_lnx * lnx * (1.0 + t)))
         t_lnx_f = t_lnx[:d2]
-        return _Sums(shift, float(w @ nu_terms), phi, phi_xi,
+        return _Sums(shift, float(w @ nu_terms), phi, phi_xi, float(t[:d2].sum()),
                      float(t_lnx_f.sum()), float(t_lnx_f @ lnx[:d2]))
+
+
+def _support_sums(lnx, weights, failure, beta):
+    """Sum of x^beta over the failures, and nu(beta) = sum w (e^(x^beta) - 1).
+
+    The arrays are a sample's support or zero-padded rows of supports; beta's
+    axes broadcast against their leading axes.  Callers hold the errstate:
+    entering one here would slow the per-iteration MH loop.
+    """
+    t = np.exp(np.asarray(beta)[..., None] * lnx)
+    return np.vecdot(failure, t), np.vecdot(weights, np.expm1(t))
+
+
+def _sample_sums(s: CensoredSample, beta: float) -> tuple[float, float]:
+    """`_support_sums` of one sample at one beta."""
+    if beta <= 0:
+        raise ValueError("beta must be > 0")
+    if s.d2 < 1:
+        raise DegenerateSampleError("need at least one observed failure")
+    with np.errstate(over="ignore", invalid="ignore"):
+        sum_t, v = _support_sums(s.log_support, s.weights, s.failure, beta)
+    return float(sum_t), float(v)
 
 
 def _unscale(x: float, shift: float) -> float:
@@ -149,21 +174,16 @@ def _unscale(x: float, shift: float) -> float:
 
 def nu(s: CensoredSample, beta: float) -> float:
     """Total cumulative-hazard-like sum sum (1+R_i)(e^(x_i^beta)-1) + B(e^(x_B^beta)-1)."""
-    if beta <= 0:
-        raise ValueError("beta must be > 0")
-    if s.d2 < 1:
-        raise DegenerateSampleError("need at least one observed failure")
-    with np.errstate(over="ignore"):
-        return float(s.weights @ np.expm1(np.exp(beta * s.log_support)))
+    return _sample_sums(s, beta)[1]
 
 
 def log_likelihood(p: ChenParams, s: CensoredSample) -> float:
     """Log-likelihood up to the parameter-free combinatorial constant."""
     _check_params(p)
-    sum_t = float(np.exp(p.beta * s.log_support[:s.d2]).sum())
+    sum_t, v = _sample_sums(s, p.beta)
     value = s.d2 * (math.log(p.alpha) + math.log(p.beta))
     value += (p.beta - 1.0) * s.sum_lnx + sum_t
-    return value - p.alpha * nu(s, p.beta)
+    return value - p.alpha * v
 
 
 def score(p: ChenParams, s: CensoredSample) -> tuple[float, float]:
@@ -179,9 +199,7 @@ def score(p: ChenParams, s: CensoredSample) -> tuple[float, float]:
 def alpha_profile(s: CensoredSample, beta: float) -> float:
     """Closed-form alpha maximizer at fixed beta: d2 / nu."""
     v = nu(s, beta)
-    if v <= 0 or not np.isfinite(v):
-        if np.isinf(v):
-            return 0.0
+    if not v > 0:  # an overflowed nu gives alpha 0
         raise DegenerateSampleError("nu(beta) is not positive; all times at zero?")
     return s.d2 / v
 
@@ -264,7 +282,10 @@ def solve_beta(s: CensoredSample, opts: MleOptions | None = None) -> tuple[float
 def observed_information(p: ChenParams, s: CensoredSample) -> np.ndarray:
     """Negative Hessian of the log-likelihood, evaluated at p."""
     _check_params(p)
-    sums = _sums(s, p.beta)
+    return _information(p, s, _sums(s, p.beta))
+
+
+def _information(p: ChenParams, s: CensoredSample, sums: _Sums) -> np.ndarray:
     i_aa = s.d2 / p.alpha**2
     i_ab = _unscale(sums.phi, sums.shift)
     i_bb = s.d2 / p.beta**2 - sums.t_lnx2 + _unscale(p.alpha, sums.shift) * sums.phi_xi
@@ -272,11 +293,14 @@ def observed_information(p: ChenParams, s: CensoredSample) -> np.ndarray:
 
 
 def fit(s: CensoredSample, opts: MleOptions | None = None) -> MleFit:
-    """Joint MLE with observed information and its inverse."""
+    """Joint MLE with observed information and its inverse, all read from
+    one `_sums` pass at beta_hat (alpha_hat * nu = d2 in the log-likelihood)."""
     beta_hat, iterations, method = solve_beta(s, opts)
-    alpha_hat = alpha_profile(s, beta_hat)
+    sums = _sums(s, beta_hat)
+    # nu > 0: beta_hat lies within tol of a beta where nu was a normal float
+    alpha_hat = s.d2 / _unscale(sums.nu, sums.shift)
     params = ChenParams(alpha_hat, beta_hat)
-    info = observed_information(params, s)
+    info = _information(params, s, sums)
     det = info[0, 0] * info[1, 1] - info[0, 1] * info[1, 0]
     norm_sq = float(np.sum(info**2))
     if not np.isfinite(det) or abs(det) < 1e-12 * norm_sq:
@@ -284,7 +308,8 @@ def fit(s: CensoredSample, opts: MleOptions | None = None) -> MleFit:
     varcov = np.array([[info[1, 1], -info[0, 1]], [-info[1, 0], info[0, 0]]]) / det
     return MleFit(
         params_hat=params,
-        loglik=log_likelihood(params, s),
+        loglik=(s.d2 * (math.log(alpha_hat) + math.log(beta_hat) - 1.0)
+                + (beta_hat - 1.0) * s.sum_lnx + sums.t),
         info=info,
         varcov=varcov,
         iterations=iterations,

@@ -113,15 +113,14 @@ class StudyReport:
 
 
 def _one_replication(scn: Scenario, plan: CensoringPlan, rep: int,
-                     mh_queue: list | None = None) -> dict:
+                     mh_queue: list) -> dict:
     """Simulate and estimate once; per-replication counter-based RNG stream.
 
     The stream gives, in order: the sample, the MH seed (drawn only when
-    the fit succeeded) and the IS seed.  Given `mh_queue`, the MH chain is
-    left to the caller: (record, sample, config) is appended to the queue
-    and `_run_mh_queue` fills in the record's MH estimates later.
+    the fit succeeded) and the IS seed.  The MH chain is left to the
+    caller: (record, sample, config) is appended to `mh_queue` and
+    `_replicate_block` fills in the record's MH estimates later.
     """
-    queue = [] if mh_queue is None else mh_queue
     rng = np.random.default_rng([scn.seed, rep])
     sample = simulate_experiment(plan, scn.true_params, rng)
     out: dict = {"case": sample.case.value}
@@ -148,7 +147,7 @@ def _one_replication(scn: Scenario, plan: CensoringPlan, rep: int,
     if "mh" in scn.estimators:
         out["mh"] = None
         if fit_result is not None:
-            queue.append((out, sample, bayes.MhConfig(
+            mh_queue.append((out, sample, bayes.MhConfig(
                 chain_length=scn.mh_chain_length,
                 burn_in=scn.mh_burn_in,
                 init=fit_result.params_hat,
@@ -163,26 +162,18 @@ def _one_replication(scn: Scenario, plan: CensoringPlan, rep: int,
             out["is"] = {"alpha": est.alpha, "beta": est.beta}
         except bayes.ProposalInvalidError:
             out["is"] = None
-    if mh_queue is None:
-        _run_mh_queue(scn, queue)
     return out
-
-
-def _run_mh_queue(scn: Scenario, queue: list) -> None:
-    """Step the queued MH chains together; fill in their records' estimates."""
-    if not queue:
-        return
-    records, samples, cfgs = zip(*queue)
-    for record, chains in zip(records, bayes.run_mh_lockstep(samples, scn.prior, cfgs)):
-        est = bayes.loss_estimates(chains, scn.loss)
-        record["mh"] = {"alpha": est.alpha, "beta": est.beta}
 
 
 def _replicate_block(scn: Scenario, plan: CensoringPlan, start: int, stop: int) -> list[dict]:
     """Replications start..stop-1, their MH chains stepped in one lockstep call."""
     queue: list = []
     records = [_one_replication(scn, plan, rep, queue) for rep in range(start, stop)]
-    _run_mh_queue(scn, queue)
+    if queue:
+        mh_records, samples, cfgs = zip(*queue)
+        for record, chains in zip(mh_records, bayes.run_mh_lockstep(samples, scn.prior, cfgs)):
+            est = bayes.loss_estimates(chains, scn.loss)
+            record["mh"] = {"alpha": est.alpha, "beta": est.beta}
     return records
 
 

@@ -58,7 +58,6 @@ class TestMhBeta:
         normalized full-conditional computed by quadrature."""
         s = sample_case2
         alpha = 0.4
-        sum_lnx = float(np.sum(np.log(s.times)))
         rng = np.random.default_rng(3)
         beta = 0.8
         draws = np.empty(40000)
@@ -68,7 +67,7 @@ class TestMhBeta:
         draws = draws[5000:]
 
         def kernel(b):
-            return np.exp(bayes._beta_logkernel(s, alpha, b, PRIOR, sum_lnx))
+            return np.exp(bayes._beta_logkernel(s, alpha, b, PRIOR))
 
         z, _ = integrate.quad(kernel, 1e-6, 20.0, limit=200)
         grid = np.quantile(draws, np.linspace(0.05, 0.95, 19))

@@ -1,4 +1,6 @@
 """Likelihood, score, information and the profile solver against oracles."""
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -65,6 +67,56 @@ class TestNu:
         beta = 0.9
         manual = float((1.0 + s.effective_removals) @ np.expm1(s.times**beta))
         assert mle.nu(s, beta) == pytest.approx(manual, rel=1e-12)
+
+
+def loop_support_sums(s, beta):
+    """Term-by-term oracle of the value kernel: the sum of x_i^beta over the
+    failures, and nu(beta) = sum (1+R_i)(e^(x_i^beta)-1) + b(e^(x_b^beta)-1)."""
+    sum_t = nu = 0.0
+    for x, r in zip(s.times, s.effective_removals):
+        sum_t += x**beta
+        nu += (1 + r) * math.expm1(x**beta)
+    if s.b > 0:
+        nu += s.b * math.expm1(s.x_b**beta)
+    return sum_t, nu
+
+
+class TestSupportSums:
+    BETAS = (0.4, 0.8, 1.3)
+
+    @staticmethod
+    def samples(all_case_samples, devices30):
+        complete = load_sample(devices30, CensoringPlan(30, 30, (0,) * 30, 1e12, 2e12))
+        return (*all_case_samples, complete)
+
+    def test_matches_term_by_term_loop(self, all_case_samples, devices30):
+        """A scalar beta gives 0-d sums; an array of beta gives one pair per beta."""
+        for s in self.samples(all_case_samples, devices30):
+            expected = np.array([loop_support_sums(s, b) for b in self.BETAS])
+            for beta, (sum_t, nu) in zip(self.BETAS, expected):
+                got = mle._support_sums(s.log_support, s.weights, s.failure, beta)
+                assert np.shape(got[0]) == np.shape(got[1]) == ()
+                np.testing.assert_allclose(got, (sum_t, nu), rtol=1e-12, atol=0)
+            got = mle._support_sums(s.log_support, s.weights, s.failure, np.array(self.BETAS))
+            np.testing.assert_allclose(np.transpose(got), expected, rtol=1e-12, atol=0)
+
+    def test_zero_weight_padding_changes_neither_sum(self, all_case_samples, devices30):
+        """Rows padded with zero weights (and ln x = 0) to a common width give
+        each row's unpadded sums: bit for bit at the short supports, to
+        rounding at the 30-point one, whose summation blocks move."""
+        samples = self.samples(all_case_samples, devices30)
+        width = 40
+        lnx, weights, failure = np.zeros((3, len(samples), width))
+        for r, s in enumerate(samples):
+            size = s.log_support.size
+            lnx[r, :size], weights[r, :size], failure[r, :size] = (
+                s.log_support, s.weights, s.failure)
+        for beta in self.BETAS:
+            padded = mle._support_sums(lnx, weights, failure, np.full(len(samples), beta))
+            for r, s in enumerate(samples):
+                alone = mle._support_sums(s.log_support, s.weights, s.failure, beta)
+                rtol = 0 if s.log_support.size < 8 else 1e-14
+                np.testing.assert_allclose(np.array(padded)[:, r], alone, rtol=rtol, atol=0)
 
 
 class TestScoreAndInformation:
@@ -190,6 +242,21 @@ class TestFit:
         _, iterations, _ = mle.solve_beta(s)
         with pytest.raises(mle.NoRootError):
             mle.solve_beta(s, mle.MleOptions(max_iter=iterations - 1))
+
+    def test_loglik_and_info_are_their_functions_at_the_fit(self, all_case_samples,
+                                                              devices30):
+        """fit reads alpha_hat, the log-likelihood and the information from
+        one pass at beta_hat; they must equal the public functions there."""
+        complete = load_sample(devices30, CensoringPlan(30, 30, (0,) * 30, 1e12, 2e12))
+        rng = np.random.default_rng(8)
+        randoms = [random_censored_sample(rng)[0] for _ in range(20)]
+        for s in (*all_case_samples, complete, *randoms):
+            fit = mle.fit(s)
+            p = fit.params_hat
+            assert p.alpha == pytest.approx(mle.alpha_profile(s, p.beta), rel=1e-12)
+            assert fit.loglik == pytest.approx(mle.log_likelihood(p, s), rel=1e-12)
+            np.testing.assert_allclose(fit.info, mle.observed_information(p, s),
+                                       rtol=1e-12, atol=0)
 
     def test_varcov_inverts_information(self, devices30):
         plan = CensoringPlan(n=30, m=30, removals=(0,) * 30, t1=1e12, t2=2e12)

@@ -132,8 +132,8 @@ class TestRunStudy:
                           true_params=TRUTH, replications=5, seed=4,
                           estimators=frozenset({"mle", "mh", "is"}))
         plan = scn.plan()
-        solo = mc._one_replication(scn, plan, 3)
-        again = mc._one_replication(scn, plan, 3)
+        solo = mc._replicate_block(scn, plan, 3, 4)[0]
+        again = mc._replicate_block(scn, plan, 3, 4)[0]
         assert solo == again
         assert solo["mh"] is not None
         assert mc._replicate_block(scn, plan, 0, 5)[3] == solo
