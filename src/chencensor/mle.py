@@ -6,8 +6,8 @@ beta_hat is the root of the profile score h(beta), found by Newton's method
 from `MleOptions.beta_init` and kept inside a sign-change bracket by
 geometric bisection.  Two functions form sums over the sample's cached
 weighted support: `_sums` at one beta, rescaled where e^(x^beta) would
-overflow, for h, its slope, the information and `fit`; and `_support_sums`,
-the batched value kernel, for `nu`, the likelihood and the Bayesian samplers.
+overflow, for h, its slope and the information; and `_support_sums`, the
+batched value kernel, for `nu`, the likelihood and the Bayesian samplers.
 Asymptotic confidence intervals come from the inverse observed information.
 """
 from __future__ import annotations
@@ -110,7 +110,6 @@ class _Sums(NamedTuple):
     nu: float       # sum w (e^t - 1)
     phi: float      # sum w phi,    phi = e^t t ln x
     phi_xi: float   # sum w phi xi, xi = ln x (1 + t)
-    t: float        # sum of t over the failures
     t_lnx: float    # sum of t ln x over the failures
     t_lnx2: float   # sum of t (ln x)^2 over the failures
 
@@ -137,7 +136,7 @@ def _sums(s: CensoredSample, beta: float) -> _Sums:
         phi = float(we @ t_lnx)
         phi_xi = float(we @ (t_lnx * lnx * (1.0 + t)))
         t_lnx_f = t_lnx[:d2]
-        return _Sums(shift, float(w @ nu_terms), phi, phi_xi, float(t[:d2].sum()),
+        return _Sums(shift, float(w @ nu_terms), phi, phi_xi,
                      float(t_lnx_f.sum()), float(t_lnx_f @ lnx[:d2]))
 
 
@@ -160,6 +159,11 @@ def _sample_sums(s: CensoredSample, beta: float) -> tuple[float, float]:
         raise DegenerateSampleError("need at least one observed failure")
     with np.errstate(over="ignore", invalid="ignore"):
         sum_t, v = _support_sums(s.log_support, s.weights, s.failure, beta)
+        if np.isnan(sum_t):
+            # x_b^beta overflowed, and its failure indicator 0 times inf is
+            # nan; the sum over the failures alone is finite, as nu is inf
+            d2 = s.d2
+            sum_t = _support_sums(s.log_support[:d2], s.weights[:d2], s.failure[:d2], beta)[0]
     return float(sum_t), float(v)
 
 
@@ -282,10 +286,7 @@ def solve_beta(s: CensoredSample, opts: MleOptions | None = None) -> tuple[float
 def observed_information(p: ChenParams, s: CensoredSample) -> np.ndarray:
     """Negative Hessian of the log-likelihood, evaluated at p."""
     _check_params(p)
-    return _information(p, s, _sums(s, p.beta))
-
-
-def _information(p: ChenParams, s: CensoredSample, sums: _Sums) -> np.ndarray:
+    sums = _sums(s, p.beta)
     i_aa = s.d2 / p.alpha**2
     i_ab = _unscale(sums.phi, sums.shift)
     i_bb = s.d2 / p.beta**2 - sums.t_lnx2 + _unscale(p.alpha, sums.shift) * sums.phi_xi
@@ -293,14 +294,11 @@ def _information(p: ChenParams, s: CensoredSample, sums: _Sums) -> np.ndarray:
 
 
 def fit(s: CensoredSample, opts: MleOptions | None = None) -> MleFit:
-    """Joint MLE with observed information and its inverse, all read from
-    one `_sums` pass at beta_hat (alpha_hat * nu = d2 in the log-likelihood)."""
+    """Joint MLE with observed information and its inverse."""
     beta_hat, iterations, method = solve_beta(s, opts)
-    sums = _sums(s, beta_hat)
-    # nu > 0: beta_hat lies within tol of a beta where nu was a normal float
-    alpha_hat = s.d2 / _unscale(sums.nu, sums.shift)
+    alpha_hat = alpha_profile(s, beta_hat)
     params = ChenParams(alpha_hat, beta_hat)
-    info = _information(params, s, sums)
+    info = observed_information(params, s)
     det = info[0, 0] * info[1, 1] - info[0, 1] * info[1, 0]
     norm_sq = float(np.sum(info**2))
     if not np.isfinite(det) or abs(det) < 1e-12 * norm_sq:
@@ -308,8 +306,7 @@ def fit(s: CensoredSample, opts: MleOptions | None = None) -> MleFit:
     varcov = np.array([[info[1, 1], -info[0, 1]], [-info[1, 0], info[0, 0]]]) / det
     return MleFit(
         params_hat=params,
-        loglik=(s.d2 * (math.log(alpha_hat) + math.log(beta_hat) - 1.0)
-                + (beta_hat - 1.0) * s.sum_lnx + sums.t),
+        loglik=log_likelihood(params, s),
         info=info,
         varcov=varcov,
         iterations=iterations,

@@ -38,6 +38,13 @@ class TestKernel:
                 scale = max(scale, p.alpha * mle.nu(s, p.beta))
             assert np.ptp(offsets) < 1e-12 * scale + 1e-10
 
+    def test_overflowed_terminal_time_gives_minus_inf(self, sample_case3):
+        """x_b^beta overflowing to inf makes both posterior kernels -inf, not nan."""
+        s = sample_case3
+        beta = 720.0 / np.log(s.x_b)
+        assert bayes.log_posterior_kernel(ChenParams(0.5, beta), s, PRIOR) == -np.inf
+        assert bayes._beta_logkernel(s, 0.5, beta, PRIOR) == -np.inf
+
 
 class TestGibbsAlpha:
     def test_draws_match_gamma_conditional(self, sample_case2):

@@ -118,6 +118,17 @@ class TestSupportSums:
                 rtol = 0 if s.log_support.size < 8 else 1e-14
                 np.testing.assert_allclose(np.array(padded)[:, r], alone, rtol=rtol, atol=0)
 
+    def test_overflowed_terminal_time_gives_minus_inf(self, sample_case3):
+        """Once beta * ln x_b > 710, x_b^beta is inf while the failures' sum
+        is finite: nu is inf and the log-likelihood is -inf, not nan."""
+        s = sample_case3
+        assert s.b > 0 and s.x_b > s.times[-1]
+        beta = 720.0 / math.log(s.x_b)
+        sum_t, nu = mle._sample_sums(s, beta)
+        assert sum_t == pytest.approx(sum(x**beta for x in s.times), rel=1e-12)
+        assert nu == math.inf
+        assert mle.log_likelihood(ChenParams(0.5, beta), s) == -math.inf
+
 
 class TestScoreAndInformation:
     def test_score_matches_finite_differences(self):
@@ -245,8 +256,8 @@ class TestFit:
 
     def test_loglik_and_info_are_their_functions_at_the_fit(self, all_case_samples,
                                                               devices30):
-        """fit reads alpha_hat, the log-likelihood and the information from
-        one pass at beta_hat; they must equal the public functions there."""
+        """fit's alpha_hat, log-likelihood and information equal the public
+        functions at its estimate."""
         complete = load_sample(devices30, CensoringPlan(30, 30, (0,) * 30, 1e12, 2e12))
         rng = np.random.default_rng(8)
         randoms = [random_censored_sample(rng)[0] for _ in range(20)]
