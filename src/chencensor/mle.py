@@ -159,7 +159,7 @@ def _sample_sums(s: CensoredSample, beta: float) -> tuple[float, float]:
         raise DegenerateSampleError("need at least one observed failure")
     with np.errstate(over="ignore", invalid="ignore"):
         sum_t, v = _support_sums(s.log_support, s.weights, s.failure, beta)
-        if np.isnan(sum_t):
+        if math.isnan(sum_t):
             # x_b^beta overflowed, and its failure indicator 0 times inf is
             # nan; the sum over the failures alone is finite, as nu is inf
             d2 = s.d2
