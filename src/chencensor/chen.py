@@ -78,9 +78,14 @@ def cdf(p: ChenParams, x):
     """Distribution function 1 - exp(alpha*(1-e^(x^beta)))."""
     scalar = np.isscalar(x)
     x = _as_array(x, "x", low_open=False)
+    return _ret(_cdf(p.alpha, p.beta, x), scalar)
+
+
+def _cdf(alpha, beta, x):
+    """`cdf` with alpha and beta arrays that broadcast against x, for rows
+    of samples that each have their own parameters; x is not checked."""
     with np.errstate(over="ignore"):
-        out = -np.expm1(-p.alpha * np.expm1(x**p.beta))
-    return _ret(out, scalar)
+        return -np.expm1(-alpha * np.expm1(x**beta))
 
 
 def survival(p: ChenParams, x):

@@ -340,6 +340,8 @@ def cmd_gof(args) -> int:
         "ks_pvalue": report.ks_pvalue,
         "ad_pvalue": report.ad_pvalue,
         "bootstrap_reps": report.bootstrap_reps,
+        "ks_refits_dropped": report.ks_refits_dropped,
+        "ad_refits_dropped": report.ad_refits_dropped,
     }
     _emit(payload, args.format)
     return 0

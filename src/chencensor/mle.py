@@ -4,11 +4,17 @@ The profile structure is exploited: for fixed beta the alpha score is
 linear in 1/alpha, giving alpha_hat(beta) = d2 / nu(beta) in closed form.
 beta_hat is the root of the profile score h(beta), found by Newton's method
 from `MleOptions.beta_init` and kept inside a sign-change bracket by
-geometric bisection.  Two functions form sums over the sample's cached
-weighted support: `_sums` at one beta, rescaled where e^(x^beta) would
-overflow, for h, its slope and the information; and `_support_sums`, the
-batched value kernel, for `nu`, the likelihood and the Bayesian samplers.
-Asymptotic confidence intervals come from the inverse observed information.
+geometric bisection.
+
+The solve is row-batched: `_solve_rows` iterates on the zero-padded
+supports of many samples at once, one sample a row, and `_finish` forms
+alpha_hat, the information and the verdicts on the same rows.  `solve_beta`
+and `fit` are their one-row calls; the goodness-of-fit bootstrap fits its
+replicates as rows.  Two functions form sums over weighted supports:
+`_sums`, rescaled where e^(x^beta) would overflow, for h, its slope and the
+information; and `_support_sums`, the value kernel, for `nu`, the
+likelihood and the Bayesian samplers.  Asymptotic confidence intervals come
+from the inverse observed information.
 """
 from __future__ import annotations
 
@@ -98,46 +104,93 @@ def _check_params(p: ChenParams) -> None:
         raise ValueError("parameters must be positive")
 
 
-class _Sums(NamedTuple):
-    """Sums over the weighted support at one beta, with t = x^beta.
+class _Rows(NamedTuple):
+    """The weighted supports of k samples, one sample a row, zero-padded to a
+    common width.
 
-    The weighted sums are scaled by e^(-shift); shift is 0 unless e^t would
-    overflow, in which case it is the largest t.  The failure-time sums are
-    not scaled.
+    Per column: ln x, the weight and the failure indicator, laid out as in
+    `CensoredSample`; padding has ln x = 0, weight 0 and indicator 0, so it
+    adds to no sum.  Per row: d2, the sum of ln x over the failures, and
+    whether two failure times differ, without which (alpha, beta) is not
+    identified.
     """
 
-    shift: float
-    nu: float       # sum w (e^t - 1)
-    phi: float      # sum w phi,    phi = e^t t ln x
-    phi_xi: float   # sum w phi xi, xi = ln x (1 + t)
-    t_lnx: float    # sum of t ln x over the failures
-    t_lnx2: float   # sum of t (ln x)^2 over the failures
+    lnx: np.ndarray
+    weights: np.ndarray
+    failure: np.ndarray
+    d2: np.ndarray
+    sum_lnx: np.ndarray
+    identified: np.ndarray
+
+
+def _sample_rows(samples) -> _Rows:
+    """The rows of a sequence of censored samples."""
+    width = max(s.log_support.size for s in samples)
+    lnx, weights, failure = np.zeros((3, len(samples), width))
+    for r, s in enumerate(samples):
+        size = s.log_support.size
+        lnx[r, :size], weights[r, :size], failure[r, :size] = (
+            s.log_support, s.weights, s.failure)
+    return _Rows(lnx, weights, failure,
+                 np.array([s.d2 for s in samples], dtype=float),
+                 np.array([s.sum_lnx for s in samples]),
+                 np.array([s.d2 >= 2 and s.times.min() < s.times.max() for s in samples]))
+
+
+def _complete_rows(x: np.ndarray) -> _Rows:
+    """The rows of complete samples, one sample's sorted times a row of x:
+    every time a failure of weight 1, as `load_sample` gives them under a
+    plan that removes and censors nothing."""
+    k, n = x.shape
+    lnx = np.log(x)
+    ones = np.ones_like(x)
+    return _Rows(lnx, ones, ones, np.full(k, float(n)), lnx.sum(axis=-1),
+                 (n >= 2) & (x[:, 0] < x[:, -1]))
+
+
+class _Sums(NamedTuple):
+    """Sums over each row's weighted support at its beta, with t = x^beta.
+
+    A row's weighted sums are scaled by e^(-shift); its shift is 0 unless
+    e^t would overflow, in which case it is the row's largest t, and shift
+    is None when no row needs one.  The failure-time sums are not scaled.
+    """
+
+    shift: np.ndarray | None
+    nu: np.ndarray       # sum w (e^t - 1)
+    phi: np.ndarray      # sum w phi,    phi = e^t t ln x
+    phi_xi: np.ndarray   # sum w phi xi, xi = ln x (1 + t)
+    t_lnx: np.ndarray    # sum of t ln x over the failures
+    t_lnx2: np.ndarray   # sum of t (ln x)^2 over the failures
 
 
 _RESCALE_ABOVE = 600.0  # e^600 and the weighted sums of it stay finite
 _SMALLEST_NORMAL = float(np.finfo(float).tiny)
+# over- and underflow, 0/0 and inf - inf end as inf, 0 or nan, which the
+# solver and the verdicts read; every caller of the row functions holds this
+_QUIET = {"all": "ignore"}
 
 
-def _sums(s: CensoredSample, beta: float) -> _Sums:
-    lnx, w, d2 = s.log_support, s.weights, s.d2
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        t = np.exp(beta * lnx)
-        shift = float(t.max())
-        if shift <= _RESCALE_ABOVE:
-            shift = 0.0
-            e = np.exp(t)
-            nu_terms = np.expm1(t)
-        else:
-            # e^(-shift) is below 1e-260, so e^t - 1 scales to e^(t-shift)
-            e = np.exp(t - shift)
-            nu_terms = e
-        t_lnx = t * lnx
-        we = w * e
-        phi = float(we @ t_lnx)
-        phi_xi = float(we @ (t_lnx * lnx * (1.0 + t)))
-        t_lnx_f = t_lnx[:d2]
-        return _Sums(shift, float(w @ nu_terms), phi, phi_xi,
-                     float(t_lnx_f.sum()), float(t_lnx_f @ lnx[:d2]))
+def _sums(lnx, w, failure, beta) -> _Sums:
+    """The `_Sums` of a support, or of rows of supports at one beta a row
+    (beta's axes broadcast against the leading axes of the support)."""
+    t = np.exp(np.asarray(beta)[..., None] * lnx)
+    if np.maximum.reduce(t, axis=None) <= _RESCALE_ABOVE:
+        shift = None
+        nu = np.vecdot(w, np.expm1(t))
+        we = np.exp(t)
+    else:
+        # e^(-shift) is below 1e-260, so e^t - 1 scales to e^(t-shift)
+        shift = t.max(axis=-1)
+        rescale = ~(shift <= _RESCALE_ABOVE)
+        shift = np.where(rescale, shift, 0.0)
+        we = np.exp(t - shift[..., None])
+        nu = np.vecdot(w, np.where(rescale[..., None], we, np.expm1(t)))
+    we *= w
+    t_lnx = t * lnx
+    t_lnx_f = t_lnx * failure
+    return _Sums(shift, nu, np.vecdot(we, t_lnx), np.vecdot(we, t_lnx * lnx * (1.0 + t)),
+                 np.add.reduce(t_lnx_f, axis=-1), np.vecdot(t_lnx_f, lnx))
 
 
 def _support_sums(lnx, weights, failure, beta):
@@ -167,13 +220,19 @@ def _sample_sums(s: CensoredSample, beta: float) -> tuple[float, float]:
     return float(sum_t), float(v)
 
 
-def _unscale(x: float, shift: float) -> float:
+def _unscale(x, shift):
     """x * e^shift, formed in logs so that it stays finite where x is as
     small as e^shift is large."""
-    if shift == 0.0:
+    if shift is None:
         return x
-    with np.errstate(over="ignore", divide="ignore"):
-        return float(np.copysign(np.exp(np.log(abs(x)) + shift), x))
+    return np.where(shift == 0.0, x, np.copysign(np.exp(np.log(np.abs(x)) + shift), x))
+
+
+def _square(x):
+    """x^2 by pow, as Python squares a float; numpy's x**2 is x*x, which
+    rounds the other way for about one value in a thousand.  The solver's
+    formulas were written for Python floats, and this keeps their digits."""
+    return np.float_power(x, 2)
 
 
 def nu(s: CensoredSample, beta: float) -> float:
@@ -191,13 +250,15 @@ def log_likelihood(p: ChenParams, s: CensoredSample) -> float:
 
 
 def score(p: ChenParams, s: CensoredSample) -> tuple[float, float]:
-    """Gradient of the log-likelihood in (alpha, beta)."""
+    """Gradient of the log-likelihood in (alpha, beta), from one pass over
+    the support."""
     _check_params(p)
-    sums = _sums(s, p.beta)
-    s_alpha = s.d2 / p.alpha - nu(s, p.beta)
-    s_beta = (s.d2 / p.beta + s.sum_lnx + sums.t_lnx
-              - _unscale(p.alpha, sums.shift) * sums.phi)
-    return s_alpha, s_beta
+    with np.errstate(**_QUIET):
+        sums = _sums(s.log_support, s.weights, s.failure, p.beta)
+        s_alpha = s.d2 / p.alpha - _unscale(sums.nu, sums.shift)
+        s_beta = (s.d2 / p.beta + s.sum_lnx + sums.t_lnx
+                  - _unscale(p.alpha, sums.shift) * sums.phi)
+    return float(s_alpha), float(s_beta)
 
 
 def alpha_profile(s: CensoredSample, beta: float) -> float:
@@ -206,6 +267,20 @@ def alpha_profile(s: CensoredSample, beta: float) -> float:
     if not v > 0:  # an overflowed nu gives alpha 0
         raise DegenerateSampleError("nu(beta) is not positive; all times at zero?")
     return s.d2 / v
+
+
+def _profile(rows: _Rows, beta):
+    """Profile score h and its slope at each row's beta; nan where nu(beta)
+    is not finite or has underflowed below the smallest normal float, where
+    its few remaining bits make h noise.  `rows` may also hold one sample's
+    support as it is, with its d2 and sum of ln x as scalars."""
+    sums = _sums(rows.lnx, rows.weights, rows.failure, beta)
+    d2 = rows.d2
+    nu = np.where((sums.nu >= _SMALLEST_NORMAL) & (sums.nu < np.inf), sums.nu, np.nan)
+    ratio = sums.phi / nu
+    h = d2 / beta + rows.sum_lnx + sums.t_lnx - d2 * ratio
+    slope = -d2 / _square(beta) + sums.t_lnx2 - d2 * (sums.phi_xi / nu - ratio * ratio)
+    return h, slope
 
 
 def profile_score_and_slope(s: CensoredSample, beta: float) -> tuple[float, float]:
@@ -217,20 +292,98 @@ def profile_score_and_slope(s: CensoredSample, beta: float) -> tuple[float, floa
     """
     if beta <= 0:
         raise ValueError("beta must be > 0")
-    sums = _sums(s, beta)
-    if not (_SMALLEST_NORMAL <= sums.nu < np.inf):
-        return math.nan, math.nan
-    d2 = s.d2
-    ratio = sums.phi / sums.nu
-    h = d2 / beta + s.sum_lnx + sums.t_lnx - d2 * ratio
-    slope = -d2 / beta**2 + sums.t_lnx2 - d2 * (sums.phi_xi / sums.nu - ratio * ratio)
-    return h, slope
+    row = _Rows(s.log_support, s.weights, s.failure, s.d2, s.sum_lnx, True)
+    with np.errstate(**_QUIET):
+        h, slope = _profile(row, beta)
+    return float(h), float(slope)
 
 
 def profile_score(s: CensoredSample, beta: float) -> float:
     """d/d beta of the log-likelihood with alpha profiled out; nan where
     nu(beta) is not computable (see `profile_score_and_slope`)."""
     return profile_score_and_slope(s, beta)[0]
+
+
+def _solve_rows(rows: _Rows, opts: MleOptions):
+    """`solve_beta` on every row at once.
+
+    Each row keeps its own bracket, the profile score at its ends and its
+    step count; a row leaves the iteration when it converges or fails, and
+    the rest go on.  Returns beta_hat (nan where a row failed), the
+    iteration counts, whether each row took a bisection step, and the typed
+    error of each row that failed.
+    """
+    k = rows.d2.size
+    root = np.full(k, np.nan)
+    iterations = np.zeros(k, dtype=int)
+    bracketed = np.zeros(k, dtype=bool)
+    errors = {}
+    idx = np.flatnonzero(rows.identified)
+    if idx.size < k:
+        errors = {int(r): DegenerateSampleError("need at least two distinct failure times")
+                  for r in np.flatnonzero(~rows.identified)}
+        rows = _Rows(*(a[idx] for a in rows))
+    lo0, hi0 = opts.bracket
+    # the bracket, h at its ends (nan until an evaluation has signed that
+    # end: h(lo) > 0 and h(hi) < 0 are then seen, not merely assumed) and
+    # the point to evaluate next
+    lo, hi, h_lo, h_hi, beta = np.array(
+        [[lo0], [hi0], [np.nan], [np.nan], [min(max(opts.beta_init, lo0), hi0)]],
+        dtype=float).repeat(idx.size, axis=1)
+    bisected = np.zeros(idx.size, dtype=bool)
+    step_no = 0
+    with np.errstate(**_QUIET):
+        while idx.size and step_no < opts.max_iter:
+            step_no += 1
+            h, slope = _profile(rows, beta)
+            # h > 0 raises lo; h < 0 lowers hi, and so does a point where h
+            # is not computable, as nu over- or underflows only as beta grows
+            rise = h > 0
+            fall = ~rise
+            np.putmask(lo, rise, beta)
+            np.putmask(h_lo, rise, h)
+            np.putmask(hi, fall, beta)
+            np.putmask(h_hi, fall, h)
+            newton = slope < 0
+            step = h / slope  # the Newton step is -step
+            nxt = beta - step
+            inside = newton & (lo < nxt) & (nxt < hi)
+            if np.count_nonzero(inside & (np.abs(step) >= opts.tol)) == idx.size:
+                beta = nxt  # every row takes a Newton step inside its bracket
+                continue
+            # a Newton step shorter than tol ends the row, as does h = 0; a
+            # row whose step leaves the bracket ends if the bracket has
+            # closed in, and else goes on from the bracket's geometric midpoint
+            converged = (h == 0) | (newton & (np.abs(step) < opts.tol))
+            closed = (hi - lo < opts.tol) & ~(converged | inside)
+            mid = np.sqrt(lo * hi)
+            stop = converged | closed
+            bisected |= ~(stop | inside)
+            current = beta
+            beta = np.where(inside, nxt, mid)
+            if not np.count_nonzero(stop):
+                continue
+            settled = closed & (h_lo > 0) & (h_hi < 0)
+            done = converged | settled
+            found = np.where(converged, np.where(h == 0, current, nxt), mid)
+            root[idx[done]] = found[done]
+            iterations[idx[stop]] = step_no
+            bracketed[idx[stop]] = bisected[stop]
+            failed = stop & ~done
+            for r, b, hr in zip(idx[failed], current[failed], h[failed]):
+                errors[int(r)] = NoRootError(
+                    f"profile score has no sign change on ({lo0:g}, {hi0:g}); the "
+                    f"search closed in at beta={b:.6g}, h={hr:.4g}")
+            keep = ~stop
+            idx = idx[keep]
+            if not idx.size:
+                break
+            rows = _Rows(*(a[keep] for a in rows))
+            beta, lo, hi, h_lo, h_hi, bisected = (
+                a[keep] for a in (beta, lo, hi, h_lo, h_hi, bisected))
+    for r in idx:
+        errors[int(r)] = NoRootError(f"profile score root not reached in {opts.max_iter} steps")
+    return root, iterations, bracketed, errors
 
 
 def solve_beta(s: CensoredSample, opts: MleOptions | None = None) -> tuple[float, int, SolveMethod]:
@@ -243,72 +396,97 @@ def solve_beta(s: CensoredSample, opts: MleOptions | None = None) -> tuple[float
     not negative, is replaced by the geometric midpoint sqrt(lo * hi).  The
     method is FIXED_POINT when only Newton steps were taken (Newton's method
     is the fixed-point iteration of beta - h/h') and BRACKETED when at least
-    one bisection step was; `iterations` counts both kinds of step.
+    one bisection step was; `iterations` counts both kinds of step.  This is
+    the one-row call of the solver that fits many samples at once.
     """
-    opts = opts or MleOptions()
-    if s.d2 < 2 or np.unique(s.times).size < 2:
-        raise DegenerateSampleError("need at least two distinct failure times")
-    lo, hi = opts.bracket
-    # whether h(lo) > 0 and h(hi) < 0 have been seen, not merely assumed
-    lo_signed = hi_signed = False
-    beta = min(max(opts.beta_init, lo), hi)
-    method = SolveMethod.FIXED_POINT
-    for iterations in range(1, opts.max_iter + 1):
-        h, slope = profile_score_and_slope(s, beta)
-        if h > 0:
-            lo, lo_signed = beta, True
-        elif h < 0:
-            hi, hi_signed = beta, True
-        elif h == 0:
-            return beta, iterations, method
-        else:
-            # nu over- or underflows only as beta grows, so a point where h
-            # is not computable bounds the search from above
-            hi, hi_signed = beta, False
-        if slope < 0:
-            step = -h / slope
-            if abs(step) < opts.tol:
-                return beta + step, iterations, method
-            if lo < beta + step < hi:
-                beta += step
-                continue
-        if hi - lo < opts.tol:
-            if lo_signed and hi_signed:
-                return math.sqrt(lo * hi), iterations, method
-            raise NoRootError(
-                f"profile score has no sign change on ({opts.bracket[0]:g}, "
-                f"{opts.bracket[1]:g}); the search closed in at beta={beta:.6g}, h={h:.4g}")
-        method = SolveMethod.BRACKETED
-        beta = math.sqrt(lo * hi)
-    raise NoRootError(f"profile score root not reached in {opts.max_iter} steps")
+    root, iterations, bracketed, errors = _solve_rows(_sample_rows([s]), opts or MleOptions())
+    if errors:
+        raise errors[0]
+    method = SolveMethod.BRACKETED if bracketed[0] else SolveMethod.FIXED_POINT
+    return float(root[0]), int(iterations[0]), method
+
+
+def _information(alpha, beta, d2, sums: _Sums):
+    """The entries I_aa, I_ab and I_bb of the negative Hessian of the
+    log-likelihood at (alpha, beta), from the sums at beta."""
+    i_aa = d2 / _square(alpha)
+    i_ab = _unscale(sums.phi, sums.shift)
+    i_bb = d2 / _square(beta) - sums.t_lnx2 + _unscale(alpha, sums.shift) * sums.phi_xi
+    return i_aa, i_ab, i_bb
 
 
 def observed_information(p: ChenParams, s: CensoredSample) -> np.ndarray:
     """Negative Hessian of the log-likelihood, evaluated at p."""
     _check_params(p)
-    sums = _sums(s, p.beta)
-    i_aa = s.d2 / p.alpha**2
-    i_ab = _unscale(sums.phi, sums.shift)
-    i_bb = s.d2 / p.beta**2 - sums.t_lnx2 + _unscale(p.alpha, sums.shift) * sums.phi_xi
+    with np.errstate(**_QUIET):
+        i_aa, i_ab, i_bb = _information(p.alpha, p.beta, s.d2,
+                                        _sums(s.log_support, s.weights, s.failure, p.beta))
     return np.array([[i_aa, i_ab], [i_ab, i_bb]])
 
 
+_COFACTOR_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def _finish(rows: _Rows, beta: np.ndarray):
+    """alpha_hat = d2 / nu, the observed information and its inverse at each
+    row's beta_hat, and the verdict on each row whose fit is not usable: a
+    DegenerateSampleError where nu is not a positive finite number, a
+    NoRootError where the information is numerically singular."""
+    with np.errstate(**_QUIET):
+        sums = _sums(rows.lnx, rows.weights, rows.failure, beta)
+        alpha = rows.d2 / _unscale(sums.nu, sums.shift)
+        i_aa, i_ab, i_bb = _information(alpha, beta, rows.d2, sums)
+        info = np.stack([i_aa, i_ab, i_ab, i_bb], axis=-1).reshape(-1, 2, 2)
+        det = i_aa * i_bb - i_ab * i_ab
+        usable = ((alpha > 0) & (alpha < np.inf) & np.isfinite(det)
+                  & ~(np.abs(det) < 1e-12 * (info**2).sum(axis=(1, 2))))
+        varcov = info[:, ::-1, ::-1] * _COFACTOR_SIGNS / det[:, None, None]
+    verdicts = {}
+    if np.count_nonzero(usable) < usable.size:
+        for r in np.flatnonzero(~usable):
+            verdicts[int(r)] = (
+                NoRootError("observed information is numerically singular")
+                if 0 < alpha[r] < np.inf
+                else DegenerateSampleError("nu(beta_hat) is not a positive finite number"))
+    return alpha, info, varcov, verdicts
+
+
+class _RowFits(NamedTuple):
+    """`fit` of each row, without the log-likelihood."""
+
+    alpha: np.ndarray        # nan where the row's fit failed
+    beta: np.ndarray
+    info: np.ndarray         # (k, 2, 2)
+    varcov: np.ndarray
+    iterations: np.ndarray
+    bracketed: np.ndarray
+    errors: dict             # row -> its DegenerateSampleError or NoRootError
+
+
+def _fit_rows(rows: _Rows, opts: MleOptions | None = None) -> _RowFits:
+    """`fit` of every row at once."""
+    beta, iterations, bracketed, errors = _solve_rows(rows, opts or MleOptions())
+    alpha, info, varcov, verdicts = _finish(rows, beta)
+    # a row the solver failed has a nan beta_hat, which _finish also flags
+    errors = {**verdicts, **errors}
+    bad = list(errors)
+    alpha[bad] = np.nan
+    return _RowFits(alpha, beta, info, varcov, iterations, bracketed, errors)
+
+
 def fit(s: CensoredSample, opts: MleOptions | None = None) -> MleFit:
-    """Joint MLE with observed information and its inverse."""
+    """Joint MLE with observed information and its inverse: `solve_beta`,
+    then the one-row call of the step that finishes a batch of fits."""
     beta_hat, iterations, method = solve_beta(s, opts)
-    alpha_hat = alpha_profile(s, beta_hat)
-    params = ChenParams(alpha_hat, beta_hat)
-    info = observed_information(params, s)
-    det = info[0, 0] * info[1, 1] - info[0, 1] * info[1, 0]
-    norm_sq = float(np.sum(info**2))
-    if not np.isfinite(det) or abs(det) < 1e-12 * norm_sq:
-        raise NoRootError("observed information is numerically singular")
-    varcov = np.array([[info[1, 1], -info[0, 1]], [-info[1, 0], info[0, 0]]]) / det
+    alpha, info, varcov, verdicts = _finish(_sample_rows([s]), np.array([beta_hat]))
+    if verdicts:
+        raise verdicts[0]
+    params = ChenParams(float(alpha[0]), beta_hat)
     return MleFit(
         params_hat=params,
         loglik=log_likelihood(params, s),
-        info=info,
-        varcov=varcov,
+        info=info[0],
+        varcov=varcov[0],
         iterations=iterations,
         converged_by=method,
         sample=s,

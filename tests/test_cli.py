@@ -222,6 +222,7 @@ class TestGof:
         payload = json.loads(out)
         assert payload["ks_stat"] == pytest.approx(0.21649, abs=1e-4)
         assert payload["ad_stat"] == pytest.approx(1.3748, abs=1e-3)
+        assert payload["ks_refits_dropped"] == payload["ad_refits_dropped"] == 0
 
     def test_single_fixed_param_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "gof", "--data", "builtin:devices30",

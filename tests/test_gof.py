@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from chencensor import gof
+from chencensor import gof, mle
 from chencensor.chen import ChenParams, cdf, pdf, quantile, sample
 
 
@@ -111,3 +111,63 @@ class TestBootstrapPvalue:
         assert report.bootstrap_reps == 150
         assert report.ks_stat > 0 and report.ad_stat > 0
         assert 0 < report.ks_pvalue <= 1 and 0 < report.ad_pvalue <= 1
+
+
+def reference_bootstrap(data, which, reps, seed, params=None):
+    """The per-replicate loop the blocked bootstrap replaced: one
+    rng.random(n) draw, one fit_complete and one statistic per replicate.
+    Returns the p-value and the number of refits dropped."""
+    stat = {"ks": gof.ks_statistic, "ad": gof.ad_statistic}[which]
+    data = np.asarray(data, dtype=float)
+    fitted = params if params is not None else gof.fit_complete(data).params_hat
+    observed = stat(data, fitted)
+    rng = np.random.default_rng(seed)
+    exceed = failed = 0
+    for _ in range(reps):
+        boot = sample(fitted, rng, data.size)
+        boot_params = params
+        if params is None:
+            try:
+                boot_params = gof.fit_complete(boot).params_hat
+            except (mle.DegenerateSampleError, mle.NoRootError):
+                failed += 1
+                continue
+        if stat(boot, boot_params) >= observed:
+            exceed += 1
+    if failed > 0.1 * reps:
+        raise RuntimeError(f"{failed}/{reps} bootstrap fits failed")
+    return (1 + exceed) / (reps - failed + 1), failed
+
+
+class TestBlockedBootstrap:
+    """The blocked bootstrap gives the per-replicate loop's p-values, bit for bit."""
+
+    @pytest.mark.parametrize("which", ["ks", "ad"])
+    @pytest.mark.parametrize("params", [None, ChenParams(0.2, 0.7)], ids=["refit", "fixed"])
+    def test_matches_per_replicate_loop(self, devices30, which, params):
+        # 600 replicates of 30 make three blocks, the last one short
+        assert 600 // (gof._BLOCK_ELEMENTS // 30) == 2
+        expected = reference_bootstrap(devices30, which, 600, 11, params)
+        assert gof.bootstrap_pvalue(devices30, which, 600, 11, params) == expected[0]
+        assert gof._bootstrap(devices30, which, 600, 11, params) == expected
+
+    def test_dropped_refits_leave_the_denominator(self):
+        """Three points: the loop drops 12 of 300 KS refits and 17 of 300 AD
+        refits, as NoRootError or DegenerateSampleError."""
+        x = sample(ChenParams(0.2, 0.7), np.random.default_rng(4), 3)
+        ks, ad = reference_bootstrap(x, "ks", 300, 1), reference_bootstrap(x, "ad", 300, 2)
+        assert (ks[1], ad[1]) == (12, 17)
+        report = gof.gof_report(x, reps=300, seed=1)
+        assert (report.ks_pvalue, report.ks_refits_dropped) == ks
+        assert (report.ad_pvalue, report.ad_refits_dropped) == ad
+
+    def test_too_many_dropped_refits_raise(self):
+        """Two points: 34 of 300 refits fail, more than the 10 % allowed."""
+        x = sample(ChenParams(0.2, 0.7), np.random.default_rng(1), 2)
+        for bootstrap in (reference_bootstrap, gof.bootstrap_pvalue):
+            with pytest.raises(RuntimeError, match="34/300"):
+                bootstrap(x, "ks", 300, 1)
+
+    def test_fixed_path_drops_nothing(self, devices30):
+        report = gof.gof_report(devices30, reps=150, seed=3, params=ChenParams(0.2, 0.7))
+        assert report.ks_refits_dropped == report.ad_refits_dropped == 0

@@ -1,5 +1,6 @@
 """Likelihood, score, information and the profile solver against oracles."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.optimize import brentq
 
 from chencensor import mle
 from chencensor.censoring import CensoringPlan, classify, load_sample
+from chencensor.gof import complete_plan
 from chencensor.chen import ChenParams, pdf, sample as chen_sample, survival
 from conftest import random_censored_sample
 
@@ -130,7 +132,28 @@ class TestSupportSums:
         assert mle.log_likelihood(ChenParams(0.5, beta), s) == -math.inf
 
 
+def loop_score(p, s):
+    """Term-by-term oracle of the score: d2/alpha - nu(beta), and
+    d2/beta + sum ln x + sum x^beta ln x - alpha sum w e^(x^beta) x^beta ln x."""
+    s_beta = s.d2 / p.beta + s.sum_lnx
+    for x, r in zip(s.times, s.effective_removals):
+        t = x**p.beta
+        s_beta += t * math.log(x) - p.alpha * (1 + r) * math.exp(t) * t * math.log(x)
+    if s.b > 0:
+        t = s.x_b**p.beta
+        s_beta -= p.alpha * s.b * math.exp(t) * t * math.log(s.x_b)
+    return s.d2 / p.alpha - mle.nu(s, p.beta), s_beta
+
+
 class TestScoreAndInformation:
+    @pytest.mark.parametrize("p", PARAMS)
+    def test_score_matches_two_pass_value(self, p, all_case_samples, devices30):
+        """score reads nu from its one pass over the support; it equals
+        d2/alpha - nu(beta) from a second pass, and the loop's beta score."""
+        complete = load_sample(devices30, complete_plan(30))
+        for s in (*all_case_samples, complete):
+            np.testing.assert_allclose(mle.score(p, s), loop_score(p, s), rtol=1e-12, atol=0)
+
     def test_score_matches_finite_differences(self):
         rng = np.random.default_rng(2024)
         for _ in range(20):
@@ -244,8 +267,10 @@ class TestFit:
                 0.0, abs=1e-6 * (1 + s.d2 / beta_hat))
 
     def test_underflowing_nu_is_no_root(self):
+        """h > 0 wherever nu is computable: the search closes in on the
+        point where nu underflows, whose h is not a sign."""
         plan = CensoringPlan(32, 2, (12, 18), 1.0, 2.0)
-        with pytest.raises(mle.NoRootError):
+        with pytest.raises(mle.NoRootError, match="no sign change"):
             mle.fit(classify([1.49e-9, 1.54e-9], plan))
 
     def test_max_iter_exhausted_is_no_root(self, devices30):
@@ -274,6 +299,23 @@ class TestFit:
         fit = mle.fit(load_sample(devices30, plan))
         np.testing.assert_allclose(fit.info @ fit.varcov, np.eye(2), atol=1e-10)
 
+    def test_singular_information_raises_without_warnings(self):
+        """beta_hat is about 3.84 for these close times; the information's
+        squares overflow, which must end in NoRootError and no warning."""
+        times = [3.8321462301574827, 3.843174757743335, 3.849280624273761]
+        s = load_sample(times, complete_plan(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(mle.NoRootError, match="singular"):
+                mle.fit(s)
+
+    def test_no_sign_change_is_no_root(self, devices30):
+        """beta_hat is 0.85; on (2, 50) the profile score is negative
+        throughout, so the search closes in at 2 with h(lo) never seen > 0."""
+        s = load_sample(devices30, complete_plan(30))
+        with pytest.raises(mle.NoRootError, match="no sign change"):
+            mle.solve_beta(s, mle.MleOptions(bracket=(2.0, 50.0)))
+
     def test_degenerate_sample_rejected(self, base_plan):
         one = classify(np.array([1.5]), base_plan)
         with pytest.raises(mle.DegenerateSampleError):
@@ -298,6 +340,60 @@ class TestFit:
         assert len(alphas) > 180
         assert abs(np.mean(alphas) - truth.alpha) < 0.05
         assert abs(np.mean(betas) - truth.beta) < 0.07
+
+
+class TestRows:
+    """The row-batched fit of zero-padded rows against the one-row calls."""
+
+    OPTS = mle.MleOptions(max_iter=12)
+
+    def test_rows_match_one_row_fits(self, all_case_samples, devices30, base_plan):
+        complete = load_sample(devices30, complete_plan(30))
+        tied = classify([1.5, 1.5], base_plan)
+        underflowing = classify([1.49e-9, 1.54e-9], CensoringPlan(32, 2, (12, 18), 1.0, 2.0))
+        singular = load_sample([3.8321462301574827, 3.843174757743335, 3.849280624273761],
+                               complete_plan(3))
+        rng = np.random.default_rng(31)
+        # the 8th of these needs 13 steps, one more than OPTS allows; the
+        # 45th takes bisection steps and converges in 12
+        randoms = [random_censored_sample(rng)[0] for _ in range(45)]
+        samples = (*all_case_samples, complete, tied, underflowing, singular, *randoms)
+        rows = mle._sample_rows(samples)
+        assert min(s.log_support.size for s in samples) < rows.lnx.shape[1]  # padded
+        fits = mle._fit_rows(rows, self.OPTS)
+        failed = {}
+        for r, s in enumerate(samples):
+            try:
+                one = mle.fit(s, self.OPTS)
+            except (mle.DegenerateSampleError, mle.NoRootError) as err:
+                assert type(fits.errors[r]) is type(err)
+                assert str(fits.errors[r]) == str(err)
+                assert np.isnan(fits.alpha[r])
+                failed[r] = type(err)
+                continue
+            assert r not in fits.errors
+            assert fits.beta[r] == pytest.approx(one.params_hat.beta, rel=1e-12)
+            assert fits.alpha[r] == pytest.approx(one.params_hat.alpha, rel=1e-12)
+            np.testing.assert_allclose(fits.info[r], one.info, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(fits.varcov[r], one.varcov, rtol=1e-12, atol=0)
+            method = mle.SolveMethod.BRACKETED if fits.bracketed[r] else mle.SolveMethod.FIXED_POINT
+            assert (fits.iterations[r], method) == (one.iterations, one.converged_by)
+        assert failed == {4: mle.DegenerateSampleError, 5: mle.NoRootError,
+                          6: mle.NoRootError, 14: mle.NoRootError}
+        assert "not reached" in str(fits.errors[14])
+        assert fits.bracketed[-1] and fits.iterations[-1] == 12
+
+    def test_complete_rows_equal_loaded_samples(self):
+        """Complete-sample rows built from sorted times are the rows of the
+        samples load_sample makes of them, bit for bit, a tied row too."""
+        x = np.sort(chen_sample(ChenParams(0.2, 0.7), np.random.default_rng(3), 150).reshape(5, 30),
+                    axis=1)
+        x[2] = 1.5
+        built = mle._complete_rows(x)
+        assert built.identified.tolist() == [True, True, False, True, True]
+        loaded = mle._sample_rows([load_sample(row, complete_plan(30)) for row in x])
+        for a, b in zip(built, loaded):
+            np.testing.assert_array_equal(a, b)
 
 
 def _oracle_root(s):
