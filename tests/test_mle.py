@@ -299,11 +299,17 @@ class TestFit:
         fit = mle.fit(load_sample(devices30, plan))
         np.testing.assert_allclose(fit.info @ fit.varcov, np.eye(2), atol=1e-10)
 
-    def test_singular_information_raises_without_warnings(self):
-        """beta_hat is about 3.84 for these close times; the information's
-        squares overflow, which must end in NoRootError and no warning."""
-        times = [3.8321462301574827, 3.843174757743335, 3.849280624273761]
-        s = load_sample(times, complete_plan(3))
+    @pytest.mark.parametrize("times, plan", [
+        # beta_hat 3.84: the squares of the information's entries overflow
+        ([3.8321462301574827, 3.843174757743335, 3.849280624273761], complete_plan(3)),
+        # beta_hat 20.9 and alpha_hat 3e163: alpha_hat^2 overflows
+        ([1.2905647482911181e-08, 1.4409694182090613e-08],
+         CensoringPlan(12, 2, (4, 6), 0.5, 2.0)),
+    ], ids=["complete", "case1"])
+    def test_singular_information_raises_without_warnings(self, times, plan):
+        """An information that overflows ends in NoRootError, with no
+        warning and no bare OverflowError."""
+        s = classify(times, plan)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(mle.NoRootError, match="singular"):
