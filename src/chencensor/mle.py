@@ -430,7 +430,7 @@ _COFACTOR_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 def _finish(rows: _Rows, beta: np.ndarray):
     """alpha_hat = d2 / nu, the observed information and its inverse at each
     row's beta_hat, and the verdict on each row whose fit is not usable: a
-    DegenerateSampleError where nu is not a positive finite number, a
+    DegenerateSampleError where alpha_hat is not a positive finite number, a
     NoRootError where the information is numerically singular."""
     with np.errstate(**_QUIET):
         sums = _sums(rows.lnx, rows.weights, rows.failure, beta)
@@ -447,7 +447,8 @@ def _finish(rows: _Rows, beta: np.ndarray):
             verdicts[int(r)] = (
                 NoRootError("observed information is numerically singular")
                 if 0 < alpha[r] < np.inf
-                else DegenerateSampleError("nu(beta_hat) is not a positive finite number"))
+                else DegenerateSampleError("alpha_hat = d2 / nu(beta_hat) is not a positive "
+                                           "finite number"))
     return alpha, info, varcov, verdicts
 
 
