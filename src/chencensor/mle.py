@@ -186,6 +186,9 @@ def _sums(lnx, w, failure, beta) -> _Sums:
         shift = np.where(rescale, shift, 0.0)
         we = np.exp(t - shift[..., None])
         nu = np.vecdot(w, np.where(rescale[..., None], we, np.expm1(t)))
+        # where x^beta itself overflowed, e^(t - shift) is e^(inf - inf) =
+        # nan, but nu is inf
+        nu = np.where(shift < np.inf, nu, np.inf)
     we *= w
     t_lnx = t * lnx
     t_lnx_f = t_lnx * failure
@@ -348,9 +351,6 @@ def _solve_rows(rows: _Rows, opts: MleOptions):
             step = h / slope  # the Newton step is -step
             nxt = beta - step
             inside = newton & (lo < nxt) & (nxt < hi)
-            if np.count_nonzero(inside & (np.abs(step) >= opts.tol)) == idx.size:
-                beta = nxt  # every row takes a Newton step inside its bracket
-                continue
             # a Newton step shorter than tol ends the row, as does h = 0; a
             # row whose step leaves the bracket ends if the bracket has
             # closed in, and else goes on from the bracket's geometric midpoint

@@ -122,7 +122,8 @@ class TestSupportSums:
 
     def test_overflowed_terminal_time_gives_minus_inf(self, sample_case3):
         """Once beta * ln x_b > 710, x_b^beta is inf while the failures' sum
-        is finite: nu is inf and the log-likelihood is -inf, not nan."""
+        is finite: nu is inf, and the log-likelihood and the alpha score are
+        -inf, not nan."""
         s = sample_case3
         assert s.b > 0 and s.x_b > s.times[-1]
         beta = 720.0 / math.log(s.x_b)
@@ -130,6 +131,8 @@ class TestSupportSums:
         assert sum_t == pytest.approx(sum(x**beta for x in s.times), rel=1e-12)
         assert nu == math.inf
         assert mle.log_likelihood(ChenParams(0.5, beta), s) == -math.inf
+        # the score reads nu from its rescaled pass, where e^(inf - inf) is nan
+        assert mle.score(ChenParams(0.5, beta), s)[0] == -math.inf
 
 
 def loop_score(p, s):
