@@ -16,7 +16,7 @@ import numpy as np
 
 from .censoring import CensoredSample
 from .chen import ChenParams
-from .mle import _sample_sums, _support_sums, fit as mle_fit, nu
+from .mle import _sample_rows, _support_sums, fit as mle_fit
 
 __all__ = [
     "GammaPrior",
@@ -27,9 +27,6 @@ __all__ = [
     "IsDraws",
     "BayesResult",
     "ProposalInvalidError",
-    "log_posterior_kernel",
-    "gibbs_draw_alpha",
-    "mh_step_beta",
     "run_mh_lockstep",
     "run_mh_gibbs",
     "importance_sample",
@@ -116,55 +113,6 @@ class BayesResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def log_posterior_kernel(p: ChenParams, s: CensoredSample, prior: GammaPrior) -> float:
-    """Log of the unnormalized joint posterior density at p."""
-    if p.alpha <= 0 or p.beta <= 0:
-        raise ValueError("parameters must be positive")
-    sum_t, v = _sample_sums(s, p.beta)
-    return float(
-        (s.d2 + prior.a - 1.0) * np.log(p.alpha)
-        - p.alpha * (prior.b + v)
-        + (s.d2 + prior.c - 1.0) * np.log(p.beta)
-        - p.beta * (prior.d - s.sum_lnx)
-        + sum_t
-    )
-
-
-def gibbs_draw_alpha(s: CensoredSample, beta: float, prior: GammaPrior,
-                     rng: np.random.Generator) -> float:
-    """Exact draw from the alpha full conditional Gamma(d2+a, b+nu(beta))."""
-    rate = prior.b + nu(s, beta)
-    return float(rng.gamma(shape=s.d2 + prior.a, scale=1.0 / rate))
-
-
-def _beta_logkernel(s: CensoredSample, alpha: float, beta: float,
-                    prior: GammaPrior) -> float:
-    """All beta-dependent terms of the joint log-kernel at fixed alpha."""
-    sum_t, v = _sample_sums(s, beta)
-    return float(
-        (s.d2 + prior.c - 1.0) * np.log(beta)
-        - beta * (prior.d - s.sum_lnx)
-        + sum_t
-        - alpha * v
-    )
-
-
-def mh_step_beta(s: CensoredSample, alpha: float, beta_current: float,
-                 prior: GammaPrior, proposal_sd: float,
-                 rng: np.random.Generator) -> tuple[float, bool]:
-    """One random-walk MH move on beta targeting its full conditional."""
-    if beta_current <= 0:
-        raise ValueError("beta_current must be > 0")
-    proposal = beta_current + proposal_sd * rng.standard_normal()
-    if proposal <= 0:
-        return beta_current, False
-    delta = (_beta_logkernel(s, alpha, proposal, prior)
-             - _beta_logkernel(s, alpha, beta_current, prior))
-    if np.log(rng.random()) < delta:
-        return proposal, True
-    return beta_current, False
-
-
 def run_mh_lockstep(samples: Sequence[CensoredSample], prior: GammaPrior,
                     cfgs: Sequence[MhConfig]) -> list[MhChains]:
     """Run one Metropolis-within-Gibbs chain per (sample, config) pair in lockstep.
@@ -185,8 +133,8 @@ def run_mh_lockstep(samples: Sequence[CensoredSample], prior: GammaPrior,
         raise ValueError("lockstep chains need one chain_length and one plan size m")
 
     k = len(samples)
-    support = np.zeros((3, k, width))
-    lnx, weight, failure = support
+    rows = _sample_rows(samples, width=width)
+    lnx, weight, failure = rows.lnx, rows.weights, rows.failure
     # state of each chain and of its proposal: beta, the sum of x^beta over
     # the failures and nu(beta); the named rows are views into them
     cur = np.empty((3, k))
@@ -199,7 +147,6 @@ def run_mh_lockstep(samples: Sequence[CensoredSample], prior: GammaPrior,
     steps = np.empty((n, k))
     gammas = np.empty((n, k))
     for r, (s, cfg) in enumerate(zip(samples, cfgs)):
-        support[:, r, :s.weights.size] = s.log_support, s.weights, s.failure
         init = cfg.init if cfg.init is not None else mle_fit(s).params_hat
         sd = cfg.proposal_sd if cfg.proposal_sd is not None else max(0.1 * abs(init.beta), 0.01)
         beta[r] = init.beta
@@ -208,8 +155,8 @@ def run_mh_lockstep(samples: Sequence[CensoredSample], prior: GammaPrior,
         steps[:, r] = sd * rng.standard_normal(n)
         gammas[:, r] = rng.standard_gamma(s.d2 + prior.a, n)
     np.log(log_unif, out=log_unif)
-    c1 = np.array([s.d2 for s in samples]) + prior.c - 1.0
-    drate = prior.d - np.array([s.sum_lnx for s in samples])
+    c1 = rows.d2 + prior.c - 1.0
+    drate = prior.d - rows.sum_lnx
     alphas = np.empty((n, k))
     betas = np.empty((n, k))
     accepted = np.zeros(k, dtype=np.int64)

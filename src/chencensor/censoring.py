@@ -80,8 +80,6 @@ class CensoredSample:
 
     times: np.ndarray
     case: Case
-    k1: int
-    k2: int
     effective_removals: np.ndarray
     d1: int
     d2: int
@@ -123,14 +121,11 @@ class CensoredSample:
 def _assemble(times, plan: CensoringPlan, case: Case, b: int, x_b: float,
               removals) -> CensoredSample:
     times = np.asarray(times, dtype=float)
-    k1 = int(np.count_nonzero(times < plan.t1))
     return CensoredSample(
         times=times,
         case=case,
-        k1=k1,
-        k2=times.size,
         effective_removals=np.asarray(removals, dtype=int),
-        d1=k1,
+        d1=int(np.count_nonzero(times < plan.t1)),
         d2=times.size,
         b=int(b),
         x_b=float(x_b),

@@ -143,8 +143,9 @@ def _load_data(args) -> np.ndarray:
 def _sample_record(s) -> dict:
     return {
         "case": s.case.value,
-        "k1": s.k1,
-        "k2": s.k2,
+        # k1/k2 are the output schema's names for d1/d2
+        "k1": s.d1,
+        "k2": s.d2,
         "d1": s.d1,
         "d2": s.d2,
         "b": s.b,
@@ -155,6 +156,8 @@ def _sample_record(s) -> dict:
 
 
 def cmd_sample(args) -> int:
+    if args.count < 1:
+        raise UsageError("--count must be >= 1")
     plan = _build_plan(args)
     params = _params_from(args)
     rng = np.random.default_rng(_seed_of(args))

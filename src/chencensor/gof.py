@@ -78,15 +78,15 @@ _STATISTICS = {"ks": (ks_statistic, _ks), "ad": (ad_statistic, _ad)}
 
 
 def _bootstrap(data, which: str, reps: int, seed: int | None,
-               params: ChenParams | None) -> tuple[float, int]:
-    """`bootstrap_pvalue`, and how many refits it dropped."""
+               params: ChenParams | None, fitted: ChenParams) -> tuple[float, int]:
+    """`bootstrap_pvalue` from the model `fitted` to the data, and how many
+    refits it dropped; `params` is None when the replicates are refitted."""
     if which not in _STATISTICS:
         raise ValueError(f"statistic must be one of {sorted(_STATISTICS)}")
     if reps < 100:
         raise ValueError("reps must be >= 100")
     stat_fn, row_stat = _STATISTICS[which]
     data = np.asarray(data, dtype=float)
-    fitted = params if params is not None else fit_complete(data).params_hat
     observed = stat_fn(data, fitted)
     rng = np.random.default_rng(seed)
     n = data.size
@@ -123,7 +123,8 @@ def bootstrap_pvalue(data, which: str, reps: int = 2000,
     Replicates whose refit fails are dropped from the count; more than
     10 % dropped raises RuntimeError.
     """
-    return _bootstrap(data, which, reps, seed, params)[0]
+    fitted = params if params is not None else fit_complete(data).params_hat
+    return _bootstrap(data, which, reps, seed, params, fitted)[0]
 
 
 @dataclass(frozen=True)
@@ -148,9 +149,9 @@ def gof_report(data, reps: int = 2000, seed: int | None = None,
     fitted = params if params is not None else fit_complete(data).params_hat
     ks_stat = ks_statistic(data, fitted)
     ad_stat = ad_statistic(data, fitted)
-    ks_pvalue, ks_dropped = _bootstrap(data, "ks", reps, seed, params)
+    ks_pvalue, ks_dropped = _bootstrap(data, "ks", reps, seed, params, fitted)
     ad_pvalue, ad_dropped = _bootstrap(data, "ad", reps,
-                                       None if seed is None else seed + 1, params)
+                                       None if seed is None else seed + 1, params, fitted)
     return GofReport(
         fitted=fitted,
         ks_stat=ks_stat,

@@ -10,7 +10,7 @@ The solve is row-batched: `_solve_rows` iterates on the zero-padded
 supports of many samples at once, one sample a row, and `_finish` forms
 alpha_hat, the information and the verdicts on the same rows.  `solve_beta`
 and `fit` are their one-row calls; the goodness-of-fit bootstrap fits its
-replicates as rows.  Two functions form sums over weighted supports:
+replicates as rows, and the lockstep MH kernel steps its chains on rows.  Two functions form sums over weighted supports:
 `_sums`, rescaled where e^(x^beta) would overflow, for h, its slope and the
 information; and `_support_sums`, the value kernel, for `nu`, the
 likelihood and the Bayesian samplers.  Asymptotic confidence intervals come
@@ -123,9 +123,11 @@ class _Rows(NamedTuple):
     identified: np.ndarray
 
 
-def _sample_rows(samples) -> _Rows:
-    """The rows of a sequence of censored samples."""
-    width = max(s.log_support.size for s in samples)
+def _sample_rows(samples, width: int | None = None) -> _Rows:
+    """The rows of a sequence of censored samples, zero-padded to `width`,
+    by default the widest support among them."""
+    if width is None:
+        width = max(s.log_support.size for s in samples)
     lnx, weights, failure = np.zeros((3, len(samples), width))
     for r, s in enumerate(samples):
         size = s.log_support.size

@@ -22,6 +22,13 @@ __all__ = [
 
 SCHEME_KINDS = ("I", "II", "III", "IV")
 
+# sampler sizes per replication; smaller than the one-shot analysis
+# defaults of `bayes.MhConfig` and `bayes.IsConfig`, to keep large grids
+# tractable
+MH_CHAIN_LENGTH = 2000
+MH_BURN_IN = 500
+IS_DRAWS = 2000
+
 # replications whose MH chains step together in one lockstep call; bounds
 # the (chain_length, block) arrays of pre-drawn streams a block holds
 MH_BLOCK = 256
@@ -69,11 +76,6 @@ class Scenario:
     loss: bayes.LossParams = bayes.LossParams()
     ci_level: float = 0.95
     seed: int = 0
-    # sampler sizes used per replication; smaller than the one-shot
-    # analysis defaults to keep large grids tractable
-    mh_chain_length: int = 2000
-    mh_burn_in: int = 500
-    is_draws: int = 2000
 
     def plan(self) -> CensoringPlan:
         removals = (build_scheme(self.scheme, self.n, self.m)
@@ -148,8 +150,8 @@ def _one_replication(scn: Scenario, plan: CensoringPlan, rep: int,
         out["mh"] = None
         if fit_result is not None:
             mh_queue.append((out, sample, bayes.MhConfig(
-                chain_length=scn.mh_chain_length,
-                burn_in=scn.mh_burn_in,
+                chain_length=MH_CHAIN_LENGTH,
+                burn_in=MH_BURN_IN,
                 init=fit_result.params_hat,
                 seed=int(rng.integers(2**63)),
             )))
@@ -157,7 +159,7 @@ def _one_replication(scn: Scenario, plan: CensoringPlan, rep: int,
         try:
             draws = bayes.importance_sample(
                 sample, scn.prior,
-                bayes.IsConfig(draws=scn.is_draws, seed=int(rng.integers(2**63))))
+                bayes.IsConfig(draws=IS_DRAWS, seed=int(rng.integers(2**63))))
             est = bayes.loss_estimates(draws, scn.loss)
             out["is"] = {"alpha": est.alpha, "beta": est.beta}
         except bayes.ProposalInvalidError:

@@ -20,6 +20,95 @@ def scaled_device_sample(devices30, m=15):
     return load_sample(times, plan)
 
 
+# The scalar Metropolis-within-Gibbs pieces, kept as oracles for the
+# lockstep kernel: the joint log-kernel, the exact alpha draw, the beta
+# log-kernel at fixed alpha and one random-walk move on beta.
+
+def log_posterior_kernel(p, s, prior):
+    """Log of the unnormalized joint posterior density at p."""
+    sum_t, v = mle._sample_sums(s, p.beta)
+    return float(
+        (s.d2 + prior.a - 1.0) * np.log(p.alpha)
+        - p.alpha * (prior.b + v)
+        + (s.d2 + prior.c - 1.0) * np.log(p.beta)
+        - p.beta * (prior.d - s.sum_lnx)
+        + sum_t
+    )
+
+
+def gibbs_draw_alpha(s, beta, prior, rng):
+    """Exact draw from the alpha full conditional Gamma(d2+a, b+nu(beta))."""
+    rate = prior.b + mle.nu(s, beta)
+    return float(rng.gamma(shape=s.d2 + prior.a, scale=1.0 / rate))
+
+
+def beta_logkernel(s, alpha, beta, prior):
+    """All beta-dependent terms of the joint log-kernel at fixed alpha."""
+    sum_t, v = mle._sample_sums(s, beta)
+    return float(
+        (s.d2 + prior.c - 1.0) * np.log(beta)
+        - beta * (prior.d - s.sum_lnx)
+        + sum_t
+        - alpha * v
+    )
+
+
+def mh_step_beta(s, alpha, beta_current, prior, proposal_sd, rng):
+    """One random-walk MH move on beta targeting its full conditional."""
+    proposal = beta_current + proposal_sd * rng.standard_normal()
+    if proposal <= 0:
+        return beta_current, False
+    delta = (beta_logkernel(s, alpha, proposal, prior)
+             - beta_logkernel(s, alpha, beta_current, prior))
+    if np.log(rng.random()) < delta:
+        return proposal, True
+    return beta_current, False
+
+
+def nu_by_terms(s, beta):
+    """nu at each beta, summed from the sample's times, removals and terminal
+    censoring rather than from its cached support."""
+    beta = np.asarray(beta, dtype=float)[..., None]
+    total = np.expm1(s.times**beta) @ (1.0 + s.effective_removals)
+    if s.b > 0:
+        total += s.b * np.expm1(s.x_b ** beta[..., 0])
+    return total
+
+
+def reference_chain(s, prior, cfg):
+    """One chain by the scalar loop the lockstep kernel replaced: the same
+    streams (uniforms, normals, then one gamma draw per iteration) and the
+    same arithmetic over the unpadded support."""
+    rng = np.random.default_rng(cfg.seed)
+    beta = cfg.init.beta
+    sd = max(0.1 * abs(beta), 0.01)
+    drate = prior.d - s.sum_lnx
+    c1 = s.d2 + prior.c - 1.0
+
+    def parts(b):
+        t = np.exp(b * s.log_support)
+        return float(s.weights @ np.expm1(t)), float(t[:s.d2].sum())
+
+    n = cfg.chain_length
+    alphas, betas = np.empty(n), np.empty(n)
+    nu_cur, sumt_cur = parts(beta)
+    log_unif = np.log(rng.random(n))
+    steps = sd * rng.standard_normal(n)
+    accepted = 0
+    for h in range(n):
+        alpha = rng.gamma(shape=s.d2 + prior.a, scale=1.0 / (prior.b + nu_cur))
+        proposal = beta + steps[h]
+        if proposal > 0:
+            nu_p, sumt_p = parts(proposal)
+            delta = (c1 * np.log(proposal / beta) - (proposal - beta) * drate
+                     + (sumt_p - sumt_cur) - alpha * (nu_p - nu_cur))
+            if log_unif[h] < delta:
+                beta, nu_cur, sumt_cur = proposal, nu_p, sumt_p
+                accepted += 1
+        alphas[h], betas[h] = alpha, beta
+    return alphas, betas, accepted / n
+
+
 class TestKernel:
     def test_kernel_is_loglik_plus_log_prior(self, all_case_samples):
         """The joint kernel differs from loglik + gamma log-prior kernels by
@@ -32,30 +121,33 @@ class TestKernel:
                 p = ChenParams(float(rng.uniform(0.05, 2.0)), float(rng.uniform(0.2, 2.0)))
                 prior_kernel = ((PRIOR.a - 1) * np.log(p.alpha) - PRIOR.b * p.alpha
                                 + (PRIOR.c - 1) * np.log(p.beta) - PRIOR.d * p.beta)
-                offsets.append(bayes.log_posterior_kernel(p, s, PRIOR)
+                offsets.append(log_posterior_kernel(p, s, PRIOR)
                                - mle.log_likelihood(p, s) - prior_kernel)
                 # the cancelling alpha*nu terms bound the roundoff floor
                 scale = max(scale, p.alpha * mle.nu(s, p.beta))
             assert np.ptp(offsets) < 1e-12 * scale + 1e-10
 
     def test_overflowed_terminal_time_gives_minus_inf(self, sample_case3):
-        """x_b^beta overflowing to inf makes both posterior kernels -inf, not nan."""
+        """x_b^beta overflowing to inf makes both posterior kernels -inf, not
+        nan: `mle._sample_sums` sums the failures alone where x_b^beta is inf."""
         s = sample_case3
         beta = 720.0 / np.log(s.x_b)
-        assert bayes.log_posterior_kernel(ChenParams(0.5, beta), s, PRIOR) == -np.inf
-        assert bayes._beta_logkernel(s, 0.5, beta, PRIOR) == -np.inf
+        assert log_posterior_kernel(ChenParams(0.5, beta), s, PRIOR) == -np.inf
+        assert beta_logkernel(s, 0.5, beta, PRIOR) == -np.inf
 
 
 class TestGibbsAlpha:
-    def test_draws_match_gamma_conditional(self, sample_case2):
-        s = sample_case2
-        beta = 0.8
-        rng = np.random.default_rng(7)
-        draws = np.array([bayes.gibbs_draw_alpha(s, beta, PRIOR, rng)
-                          for _ in range(20000)])
-        shape = s.d2 + PRIOR.a
-        rate = PRIOR.b + mle.nu(s, beta)
-        _, pval = stats.kstest(draws, stats.gamma(shape, scale=1.0 / rate).cdf)
+    def test_draws_match_gamma_conditional(self, devices30):
+        """Each alpha draw of the chain is Gamma(d2+a, b+nu(beta)) at the
+        chain's previous beta, so alpha_h (b + nu(beta_{h-1})) is
+        Gamma(d2+a, 1), on a support padded to the plan width m + 1."""
+        s = scaled_device_sample(devices30)
+        init = ChenParams(1.0, 0.8)
+        chains = bayes.run_mh_gibbs(s, PRIOR, bayes.MhConfig(
+            chain_length=20000, burn_in=0, init=init, seed=7))
+        previous = np.concatenate(([init.beta], chains.beta[:-1]))
+        scaled = chains.alpha * (PRIOR.b + nu_by_terms(s, previous))
+        _, pval = stats.kstest(scaled, stats.gamma(s.d2 + PRIOR.a).cdf)
         assert pval > 0.01
 
 
@@ -69,23 +161,18 @@ class TestMhBeta:
         beta = 0.8
         draws = np.empty(40000)
         for i in range(draws.size):
-            beta, _ = bayes.mh_step_beta(s, alpha, beta, PRIOR, 0.25, rng)
+            beta, _ = mh_step_beta(s, alpha, beta, PRIOR, 0.25, rng)
             draws[i] = beta
         draws = draws[5000:]
 
         def kernel(b):
-            return np.exp(bayes._beta_logkernel(s, alpha, b, PRIOR))
+            return np.exp(beta_logkernel(s, alpha, b, PRIOR))
 
         z, _ = integrate.quad(kernel, 1e-6, 20.0, limit=200)
         grid = np.quantile(draws, np.linspace(0.05, 0.95, 19))
         for g in grid:
             target, _ = integrate.quad(kernel, 1e-6, g, limit=200)
             assert np.mean(draws <= g) == pytest.approx(target / z, abs=0.02)
-
-    def test_rejects_nonpositive_current(self, sample_case1):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            bayes.mh_step_beta(sample_case1, 0.4, -1.0, PRIOR, 0.1, rng)
 
 
 class TestRunMhGibbs:
@@ -110,8 +197,8 @@ class TestRunMhGibbs:
         alpha, beta = init.alpha, init.beta
         ref_a, ref_b = [], []
         for _ in range(4000):
-            alpha = bayes.gibbs_draw_alpha(s, beta, PRIOR, rng)
-            beta, _ = bayes.mh_step_beta(s, alpha, beta, PRIOR, sd, rng)
+            alpha = gibbs_draw_alpha(s, beta, PRIOR, rng)
+            beta, _ = mh_step_beta(s, alpha, beta, PRIOR, sd, rng)
             ref_a.append(alpha)
             ref_b.append(beta)
         assert np.mean(chains.alpha[1000:]) == pytest.approx(
@@ -158,40 +245,6 @@ def lockstep_batch(count=8, chain_length=600):
         cfgs.append(bayes.MhConfig(chain_length=chain_length, burn_in=100, init=init,
                                    seed=100 + len(samples)))
     return samples, cfgs
-
-
-def reference_chain(s, prior, cfg):
-    """One chain by the scalar loop the lockstep kernel replaced: the same
-    streams (uniforms, normals, then one gamma draw per iteration) and the
-    same arithmetic over the unpadded support."""
-    rng = np.random.default_rng(cfg.seed)
-    beta = cfg.init.beta
-    sd = max(0.1 * abs(beta), 0.01)
-    drate = prior.d - s.sum_lnx
-    c1 = s.d2 + prior.c - 1.0
-
-    def parts(b):
-        t = np.exp(b * s.log_support)
-        return float(s.weights @ np.expm1(t)), float(t[:s.d2].sum())
-
-    n = cfg.chain_length
-    alphas, betas = np.empty(n), np.empty(n)
-    nu_cur, sumt_cur = parts(beta)
-    log_unif = np.log(rng.random(n))
-    steps = sd * rng.standard_normal(n)
-    accepted = 0
-    for h in range(n):
-        alpha = rng.gamma(shape=s.d2 + prior.a, scale=1.0 / (prior.b + nu_cur))
-        proposal = beta + steps[h]
-        if proposal > 0:
-            nu_p, sumt_p = parts(proposal)
-            delta = (c1 * np.log(proposal / beta) - (proposal - beta) * drate
-                     + (sumt_p - sumt_cur) - alpha * (nu_p - nu_cur))
-            if log_unif[h] < delta:
-                beta, nu_cur, sumt_cur = proposal, nu_p, sumt_p
-                accepted += 1
-        alphas[h], betas[h] = alpha, beta
-    return alphas, betas, accepted / n
 
 
 class TestLockstep:

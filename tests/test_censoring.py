@@ -45,7 +45,7 @@ class TestClassify:
         assert s.d2 == 3 and s.b == 0
         assert tuple(s.effective_removals) == (2, 2, 3)
         assert s.x_b == 3.0
-        assert s.k1 == 3 and s.d1 == 3
+        assert s.d1 == 3
 
     def test_case2_last_failure_between_thresholds(self, base_plan, sample_case2):
         s = sample_case2
@@ -54,7 +54,7 @@ class TestClassify:
         assert tuple(s.effective_removals) == (2, 2, 0)
         assert s.b == 10 - 3 - 4
         assert s.x_b == 4.5
-        assert s.k1 == 2
+        assert s.d1 == 2
 
     def test_case3_short_of_target(self, base_plan, sample_case3):
         s = sample_case3
@@ -123,7 +123,7 @@ class TestLoadSample:
         assert tuple(s.effective_removals)[-1] == 0
         assert s.b == 9
         assert s.x_b == times[-1]
-        assert s.k1 == int(np.sum(times < 1.0))
+        assert s.d1 == int(np.sum(times < 1.0))
 
 
 class TestSimulate:
@@ -173,12 +173,12 @@ class TestSimulate:
 class TestCensoredSampleValidation:
     def test_conservation_enforced(self, base_plan):
         with pytest.raises(InconsistentSampleError):
-            CensoredSample(times=np.array([1.0, 2.0]), case=Case.CASE3, k1=2, k2=2,
+            CensoredSample(times=np.array([1.0, 2.0]), case=Case.CASE3,
                            effective_removals=np.array([2, 2]), d1=2, d2=2,
                            b=99, x_b=10.0, plan=base_plan)
 
     def test_d2_matches_times(self, base_plan):
         with pytest.raises(InconsistentSampleError):
-            CensoredSample(times=np.array([1.0, 2.0]), case=Case.CASE3, k1=2, k2=2,
+            CensoredSample(times=np.array([1.0, 2.0]), case=Case.CASE3,
                            effective_removals=np.array([2, 2]), d1=2, d2=3,
                            b=4, x_b=10.0, plan=base_plan)

@@ -46,6 +46,7 @@ class TestSample:
         assert out1 == out2
         record = json.loads(out1)[0]
         assert record["d2"] + sum(record["removals"]) + record["b"] == 15
+        assert (record["k1"], record["k2"]) == (record["d1"], record["d2"])
 
     def test_env_seed_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("CHEN_CENSOR_SEED", "77")
@@ -62,6 +63,16 @@ class TestSample:
                                "--alpha", "0.2", "--beta", "0.5")
         assert code == 2
         assert "IV" in err
+
+    @pytest.mark.parametrize("count, fmt", [("0", "csv"), ("-2", "json")])
+    def test_count_below_one_is_usage_error(self, capsys, count, fmt):
+        code, out, err = run_cli(capsys, "sample", "--n", "15", "--m", "5",
+                                 "--scheme", "I", "--t1", "0.4", "--t2", "4",
+                                 "--alpha", "0.2", "--beta", "0.5",
+                                 "--count", count, "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--count" in err
 
     def test_missing_plan_flag_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "sample", "--n", "20", "--m", "10",

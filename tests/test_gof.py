@@ -149,7 +149,8 @@ class TestBlockedBootstrap:
         assert 600 // (gof._BLOCK_ELEMENTS // 30) == 2
         expected = reference_bootstrap(devices30, which, 600, 11, params)
         assert gof.bootstrap_pvalue(devices30, which, 600, 11, params) == expected[0]
-        assert gof._bootstrap(devices30, which, 600, 11, params) == expected
+        fitted = params if params is not None else gof.fit_complete(devices30).params_hat
+        assert gof._bootstrap(devices30, which, 600, 11, params, fitted) == expected
 
     def test_dropped_refits_leave_the_denominator(self):
         """Three points: the loop drops 12 of 300 KS refits and 17 of 300 AD
@@ -171,3 +172,21 @@ class TestBlockedBootstrap:
     def test_fixed_path_drops_nothing(self, devices30):
         report = gof.gof_report(devices30, reps=150, seed=3, params=ChenParams(0.2, 0.7))
         assert report.ks_refits_dropped == report.ad_refits_dropped == 0
+
+    @pytest.mark.parametrize("params, fits", [(None, 1), (ChenParams(0.2, 0.7), 0)],
+                             ids=["refit", "fixed"])
+    def test_report_fits_the_data_at_most_once(self, devices30, monkeypatch, params, fits):
+        """The observed data is fitted once for both statistics on the refit
+        path, and not at all at fixed parameters."""
+        real = gof.fit_complete
+        calls = []
+
+        def counted(data):
+            calls.append(np.asarray(data).size)
+            return real(data)
+
+        monkeypatch.setattr(gof, "fit_complete", counted)
+        report = gof.gof_report(devices30, reps=150, seed=3, params=params)
+        assert calls == [devices30.size] * fits
+        expected = params if params is not None else real(devices30).params_hat
+        assert report.fitted == expected
