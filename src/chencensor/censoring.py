@@ -8,6 +8,10 @@ The realized experiment falls in one of three cases:
   Case 1  all m failures before t1            (removals fully applied)
   Case 2  m-th failure in [t1, t2)            (survivors censored at x_m)
   Case 3  fewer than m failures by t2         (survivors censored at t2)
+
+`simulate_experiment` draws each failure as the least of the r units still
+at risk, given that they outlived the last failure (sequential conditional
+minima; Balakrishnan & Sandhu 1995): only the count r is kept, no units.
 """
 from __future__ import annotations
 
@@ -16,7 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chen import ChenParams, sample as chen_sample
+# chen_sample is not called here; it stays a module attribute because
+# perfbench's tracer patches the names this module looks up
+from .chen import ChenParams, _from_cumulative_hazard, sample as chen_sample  # noqa: F401
 
 __all__ = [
     "Case",
@@ -135,44 +141,24 @@ def _assemble(times, plan: CensoringPlan, case: Case, b: int, x_b: float,
 
 def simulate_experiment(plan: CensoringPlan, params: ChenParams,
                         rng: np.random.Generator) -> CensoredSample:
-    """Run one experiment by sequential observation of latent lifetimes.
-
-    Draws n iid lifetimes, repeatedly observes the minimum among the
-    surviving pool as the next failure, applies the planned removal when
-    the failure precedes t1, and terminates per the three-case logic.
-    """
-    lifetimes = chen_sample(params, rng, plan.n)
-    alive = np.ones(plan.n, dtype=bool)
+    """Run one experiment: with r units at risk, the next failure's cumulative
+    hazard exceeds the last one's by E/r, E ~ Exp(1); a removal before t1
+    subtracts R_i from r."""
+    e = rng.standard_exponential(plan.m)
+    at_risk, h = plan.n, 0.0
     times: list[float] = []
     applied: list[int] = []
-
-    while True:
-        alive_idx = np.flatnonzero(alive)
-        if alive_idx.size == 0:
-            # planned removals exhausted the pool early (defensive; cannot
-            # happen when sum(R) + m = n holds exactly)
-            case = Case.CASE1 if (times and times[-1] < plan.t1) else Case.CASE2
-            return _assemble(times, plan, case, 0, times[-1], applied)
-        nxt = alive_idx[np.argmin(lifetimes[alive_idx])]
-        x = float(lifetimes[nxt])
+    for i in range(plan.m):
+        h += e[i] / at_risk
+        x = float(_from_cumulative_hazard(params, h))
         if x >= plan.t2:
             # hard termination: survivors censored at t2
-            return _assemble(times, plan, Case.CASE3, alive_idx.size, plan.t2, applied)
+            return _assemble(times, plan, Case.CASE3, at_risk, plan.t2, applied)
         times.append(x)
-        alive[nxt] = False
-        i = len(times)
-        if x < plan.t1:
-            survivors = np.flatnonzero(alive)
-            r = min(plan.removals[i - 1], survivors.size)
-            if r > 0:
-                drop = rng.choice(survivors, size=r, replace=False)
-                alive[drop] = False
-            applied.append(r)
-        else:
-            applied.append(0)
-        if i == plan.m:
-            case = Case.CASE1 if x < plan.t1 else Case.CASE2
-            return _assemble(times, plan, case, int(alive.sum()), x, applied)
+        applied.append(plan.removals[i] if x < plan.t1 else 0)
+        at_risk -= 1 + applied[-1]
+    case = Case.CASE1 if x < plan.t1 else Case.CASE2
+    return _assemble(times, plan, case, at_risk, x, applied)
 
 
 def classify(times, plan: CensoringPlan) -> CensoredSample:

@@ -119,11 +119,15 @@ def quantile(p: ChenParams, u):
     u = np.asarray(u, dtype=float)
     if np.any((u < 0.0) | (u >= 1.0)):
         raise ValueError("u must lie in [0, 1)")
-    # -log1p(-u) keeps the deep lower tail exact; overflow to inf is only
-    # possible once log1p(-u) itself saturates.
+    # -log1p(-u) keeps the deep lower tail exact
+    return _ret(_from_cumulative_hazard(p, -np.log1p(-u)), scalar)
+
+
+def _from_cumulative_hazard(p: ChenParams, h):
+    """The time [ln(1 + h/alpha)]^(1/beta) at which the cumulative hazard
+    alpha*(e^(x^beta) - 1) reaches h >= 0; inf where the power overflows."""
     with np.errstate(over="ignore"):
-        out = np.log1p(-np.log1p(-u) / p.alpha) ** (1.0 / p.beta)
-    return _ret(out, scalar)
+        return np.log1p(h / p.alpha) ** (1.0 / p.beta)
 
 
 def sample(p: ChenParams, rng: np.random.Generator, count: int) -> np.ndarray:

@@ -114,15 +114,15 @@ def _build_plan(args) -> CensoringPlan:
             removals = tuple(int(tok) for tok in args.scheme.split(","))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    try:
-        return CensoringPlan(n=args.n, m=args.m, removals=removals, t1=args.t1, t2=args.t2)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return _checked(CensoringPlan, n=args.n, m=args.m, removals=removals,
+                    t1=args.t1, t2=args.t2)
 
 
-def _params_from(args) -> ChenParams:
+def _checked(build, *args, **kwargs):
+    """Build a config object from option values; the ValueError it raises
+    for an invalid value is a usage error, not a runtime failure."""
     try:
-        return ChenParams(args.alpha, args.beta)
+        return build(*args, **kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -159,7 +159,7 @@ def cmd_sample(args) -> int:
     if args.count < 1:
         raise UsageError("--count must be >= 1")
     plan = _build_plan(args)
-    params = _params_from(args)
+    params = _checked(ChenParams, args.alpha, args.beta)
     rng = np.random.default_rng(_seed_of(args))
     records = [_sample_record(simulate_experiment(plan, params, rng))
                for _ in range(args.count)]
@@ -183,11 +183,14 @@ def _fit_censored(args):
     else:
         plan = _build_plan(args)
     sample = load_sample(data, plan)
-    opts = mle.MleOptions(beta_init=args.beta_init, tol=args.tol, max_iter=args.max_iter)
+    opts = _checked(mle.MleOptions, beta_init=args.beta_init, tol=args.tol,
+                    max_iter=args.max_iter)
     return data, sample, mle.fit(sample, opts)
 
 
 def cmd_fit(args) -> int:
+    if not 0.0 < args.level < 1.0:
+        raise UsageError("--level must lie in (0, 1)")
     data, sample, fit_result = _fit_censored(args)
     ci = mle.confidence_intervals(fit_result, args.level)
     payload = {
@@ -220,15 +223,15 @@ def cmd_bayes(args) -> int:
     else:
         plan = _build_plan(args)
     sample = load_sample(data, plan)
-    prior = bayes.GammaPrior(args.a, args.b, args.c, args.d)
-    loss = bayes.LossParams(g=args.g, q=args.q)
+    prior = _checked(bayes.GammaPrior, args.a, args.b, args.c, args.d)
+    loss = _checked(bayes.LossParams, g=args.g, q=args.q)
     seed = _seed_of(args)
     if args.sampler == "mh":
-        cfg = bayes.MhConfig(chain_length=args.chain_length, burn_in=args.burn_in,
-                             proposal_sd=args.proposal_sd, seed=seed)
+        cfg = _checked(bayes.MhConfig, chain_length=args.chain_length, burn_in=args.burn_in,
+                       proposal_sd=args.proposal_sd, seed=seed)
         result = bayes.loss_estimates(bayes.run_mh_gibbs(sample, prior, cfg), loss)
     else:
-        cfg = bayes.IsConfig(draws=args.draws, seed=seed)
+        cfg = _checked(bayes.IsConfig, draws=args.draws, seed=seed)
         result = bayes.loss_estimates(bayes.importance_sample(sample, prior, cfg), loss)
     payload = {
         "alpha": result.alpha,
@@ -294,8 +297,9 @@ def cmd_study(args) -> int:
     if args.paper_grid:
         estimators = frozenset((args.estimators or "mle,mh,is").replace(",", " ").split())
         seed = _seed_of(args)
-        scenarios = paper_grid(replications=args.reps if args.reps is not None else 2000,
-                               seed=seed if seed is not None else 0, estimators=estimators)
+        scenarios = _checked(paper_grid,
+                             replications=args.reps if args.reps is not None else 2000,
+                             seed=seed if seed is not None else 0, estimators=estimators)
     elif args.config:
         scenarios = [_scenario_from_config(args.config, args)]
     else:
@@ -331,7 +335,7 @@ def cmd_gof(args) -> int:
     if (args.alpha is None) != (args.beta is None):
         raise UsageError("--alpha and --beta must be given together")
     if args.alpha is not None:
-        params = _params_from(args)
+        params = _checked(ChenParams, args.alpha, args.beta)
     if args.reps < 100:
         raise UsageError("--reps must be >= 100")
     report = gof.gof_report(data, reps=args.reps, seed=_seed_of(args), params=params)

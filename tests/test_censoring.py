@@ -1,11 +1,39 @@
 """Censoring plan validation, case classification, and simulator behavior."""
+import math
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from chencensor.censoring import (Case, CensoredSample, CensoringPlan,
-                                  InconsistentSampleError, classify,
+                                  InconsistentSampleError, _assemble, classify,
                                   load_sample, simulate_experiment)
-from chencensor.chen import ChenParams
+from chencensor.chen import ChenParams, sample as chen_sample
+from chencensor.montecarlo import build_scheme
+
+
+def pool_replay(plan, params, rng):
+    """Oracle simulator: draw all n lifetimes, observe the least survivor as
+    the next failure, and withdraw R_i survivors picked at random when that
+    failure precedes t1."""
+    lifetimes = chen_sample(params, rng, plan.n)
+    alive = np.ones(plan.n, dtype=bool)
+    times, applied = [], []
+    while True:
+        alive_idx = np.flatnonzero(alive)
+        nxt = alive_idx[np.argmin(lifetimes[alive_idx])]
+        x = float(lifetimes[nxt])
+        if x >= plan.t2:
+            return _assemble(times, plan, Case.CASE3, alive_idx.size, plan.t2, applied)
+        times.append(x)
+        alive[nxt] = False
+        r = plan.removals[len(times) - 1] if x < plan.t1 else 0
+        if r > 0:
+            alive[rng.choice(np.flatnonzero(alive), size=r, replace=False)] = False
+        applied.append(r)
+        if len(times) == plan.m:
+            case = Case.CASE1 if x < plan.t1 else Case.CASE2
+            return _assemble(times, plan, case, int(alive.sum()), x, applied)
 
 
 class TestPlanValidation:
@@ -168,6 +196,47 @@ class TestSimulate:
             assert c.case is s.case
             assert c.b == s.b and c.x_b == s.x_b
             np.testing.assert_array_equal(c.effective_removals, s.effective_removals)
+
+    def test_first_failure_at_or_after_t2_ends_with_no_failures(self):
+        plan = CensoringPlan(n=15, m=5, removals=(0, 0, 0, 0, 10), t1=1e-9, t2=2e-9)
+        s = simulate_experiment(plan, self.PARAMS, np.random.default_rng(0))
+        assert s.case is Case.CASE3
+        assert s.d2 == 0 and s.d1 == 0 and s.times.size == 0
+        assert s.b == plan.n and s.x_b == plan.t2
+
+    def test_matches_pool_replay_in_distribution(self):
+        """Case frequencies within 3 pooled standard errors, and d2, b, the
+        first and the last failure time by two-sample KS at level 0.01/k,
+        against the lifetime-pool oracle on paper-grid plans with active
+        thresholds."""
+        n_sims = 5000
+        plans = [CensoringPlan(20, 10, build_scheme(kind, 20, 10), 0.4, 4.0)
+                 for kind in ("I", "II", "IV")]
+        level = 0.01 / (4 * len(plans))
+        issues = []
+        for j, plan in enumerate(plans):
+            summaries = []
+            for simulate, seed in ((simulate_experiment, 10 + j), (pool_replay, 20 + j)):
+                rng = np.random.default_rng(seed)
+                rows = []
+                for _ in range(n_sims):
+                    s = simulate(plan, self.PARAMS, rng)
+                    first, last = (s.times[0], s.times[-1]) if s.d2 else (np.nan, np.nan)
+                    rows.append((s.case.value, s.d2, s.b, first, last))
+                summaries.append(np.array(rows))
+            ours, oracle = summaries
+            for c in (1, 2, 3):
+                p1, p2 = np.mean(ours[:, 0] == c), np.mean(oracle[:, 0] == c)
+                pooled = (p1 + p2) / 2
+                se = math.sqrt(max(pooled * (1 - pooled), 1e-12) * 2 / n_sims)
+                if abs(p1 - p2) > 3 * se:
+                    issues.append(f"{plan.removals}: case {c} {p1:.4f} vs {p2:.4f}")
+            for col, name in ((1, "d2"), (2, "b"), (3, "first"), (4, "last")):
+                a, b = ours[:, col], oracle[:, col]
+                pval = stats.ks_2samp(a[~np.isnan(a)], b[~np.isnan(b)]).pvalue
+                if pval < level:
+                    issues.append(f"{plan.removals}: {name} KS p={pval:.3g}")
+        assert not issues, "; ".join(issues)
 
 
 class TestCensoredSampleValidation:

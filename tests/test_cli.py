@@ -246,6 +246,26 @@ class TestGof:
         assert code == 2
 
 
+DEVICES = ("--data", "builtin:devices30", "--complete")
+
+
+@pytest.mark.parametrize("argv", [
+    ("bayes", *DEVICES, "--chain-length", "0"),
+    ("bayes", *DEVICES, "--sampler", "is", "--draws", "0"),
+    ("bayes", *DEVICES, "--a", "0"),
+    ("bayes", *DEVICES, "--g", "0"),
+    ("study", "--paper-grid", "--reps", "0", "--dry-run"),
+    ("study", "--paper-grid", "--estimators", "magic", "--dry-run"),
+    ("fit", *DEVICES, "--level", "1.5"),
+    ("fit", *DEVICES, "--tol", "0"),
+])
+def test_invalid_option_value_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == cli.USAGE_ERROR
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestConsoleEntry:
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -362,11 +362,25 @@ class TestRows:
         underflowing = classify([1.49e-9, 1.54e-9], CensoringPlan(32, 2, (12, 18), 1.0, 2.0))
         singular = load_sample([3.8321462301574827, 3.843174757743335, 3.849280624273761],
                                complete_plan(3))
+        # needs 13 steps, one more than OPTS allows
+        not_reached = classify(
+            [2.1433981437907648e-05, 0.01253226251668223, 0.05787069973532754,
+             0.06342551592420428, 0.08306118867839433, 0.10589183878418353,
+             0.15116797718428632, 0.26650325013144566, 0.4546169920001497,
+             0.5242536605574372, 0.6391939725303941, 0.6665824826862777,
+             0.7091641203624977, 0.8863951835050364, 0.9087182045283512,
+             0.9154948339534071, 0.9528910222143357],
+            CensoringPlan(31, 23, (0, 0, 0, 1, 2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 1, 2,
+                                   0, 0), 0.3052299299979508, 1.1482527341294573))
+        # takes bisection steps and converges in exactly 12
+        bisected = classify(
+            [0.00012712840663742158, 0.0028351957441884227, 0.5662887191406644,
+             0.578840353527114, 0.9194605543433848, 1.3882195814607756, 1.402177083201523],
+            CensoringPlan(20, 7, (2, 4, 1, 0, 2, 0, 4), 0.329856313483088, 4.0549546323912145))
         rng = np.random.default_rng(31)
-        # the 8th of these needs 13 steps, one more than OPTS allows; the
-        # 45th takes bisection steps and converges in 12
         randoms = [random_censored_sample(rng)[0] for _ in range(45)]
-        samples = (*all_case_samples, complete, tied, underflowing, singular, *randoms)
+        samples = (*all_case_samples, complete, tied, underflowing, singular, not_reached,
+                   bisected, *randoms)
         rows = mle._sample_rows(samples)
         assert min(s.log_support.size for s in samples) < rows.lnx.shape[1]  # padded
         fits = mle._fit_rows(rows, self.OPTS)
@@ -388,9 +402,9 @@ class TestRows:
             method = mle.SolveMethod.BRACKETED if fits.bracketed[r] else mle.SolveMethod.FIXED_POINT
             assert (fits.iterations[r], method) == (one.iterations, one.converged_by)
         assert failed == {4: mle.DegenerateSampleError, 5: mle.NoRootError,
-                          6: mle.NoRootError, 14: mle.NoRootError}
-        assert "not reached" in str(fits.errors[14])
-        assert fits.bracketed[-1] and fits.iterations[-1] == 12
+                          6: mle.NoRootError, 7: mle.NoRootError}
+        assert "not reached" in str(fits.errors[7])
+        assert fits.bracketed[8] and fits.iterations[8] == 12
 
     def test_complete_rows_equal_loaded_samples(self):
         """Complete-sample rows built from sorted times are the rows of the

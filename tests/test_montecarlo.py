@@ -177,6 +177,16 @@ class TestRunStudy:
         bayes_rows = [r for r in base.to_rows() if r["estimator"] != "mle"]
         assert [r for r in report.to_rows() if r["estimator"] != "mle"] == bayes_rows
 
+    def test_experiments_without_failures_are_counted_not_raised(self):
+        """Every unit outlives t2, so each sample has d2 = 0: MLE and MH
+        fail in every replication, and the study still reports."""
+        scn = mc.Scenario(n=15, m=5, scheme="I", t1=1e-9, t2=2e-9,
+                          true_params=TRUTH, replications=4,
+                          estimators=frozenset({"mle", "mh", "is"}))
+        report = mc.run_study(scn)
+        assert report.case_frequencies == {1: 0.0, 2: 0.0, 3: 1.0}
+        assert report.failures["mle"] == report.failures["mh"] == 4
+
     def test_ci_level_validated(self):
         with pytest.raises(ValueError, match="ci_level"):
             mc.Scenario(n=15, m=5, scheme="I", t1=0.4, t2=4.0,
