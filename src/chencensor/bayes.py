@@ -5,6 +5,11 @@ Gibbs chain (exact gamma draw for alpha, random-walk MH for beta) and a
 self-normalized importance sampler whose gamma proposals mirror the
 posterior factorization.  Point estimates are reported under squared
 error, LINEX and entropy loss.
+
+Both kernels work on rows.  `run_mh_lockstep` steps many chains at once,
+one chain a row, in a loop that only decides acceptances; `run_mh_gibbs`
+is its one-chain call.  `_loss_rows` forms the loss estimates of many rows
+of weighted draws at once; `loss_estimates` is its one-row call.
 """
 from __future__ import annotations
 
@@ -50,8 +55,8 @@ class GammaPrior:
     d: float = 2.0
 
     def __post_init__(self) -> None:
-        if min(self.a, self.b, self.c, self.d) <= 0:
-            raise ValueError("all four hyperparameters must be > 0")
+        if not all(math.isfinite(v) and v > 0 for v in (self.a, self.b, self.c, self.d)):
+            raise ValueError("all four hyperparameters must be positive finite reals")
 
 
 @dataclass(frozen=True)
@@ -60,8 +65,8 @@ class LossParams:
     q: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.g == 0 or self.q == 0:
-            raise ValueError("loss constants g and q must be nonzero")
+        if not all(math.isfinite(v) and v != 0 for v in (self.g, self.q)):
+            raise ValueError("loss constants g and q must be nonzero finite reals")
 
 
 @dataclass(frozen=True)
@@ -75,8 +80,9 @@ class MhConfig:
     def __post_init__(self) -> None:
         if not (0 <= self.burn_in < self.chain_length):
             raise ValueError("need 0 <= burn_in < chain_length")
-        if self.proposal_sd is not None and self.proposal_sd <= 0:
-            raise ValueError("proposal_sd must be > 0")
+        if self.proposal_sd is not None and not (
+                math.isfinite(self.proposal_sd) and self.proposal_sd > 0):
+            raise ValueError("proposal_sd must be a positive finite real")
 
 
 @dataclass(frozen=True)
@@ -123,6 +129,17 @@ def run_mh_lockstep(samples: Sequence[CensoredSample], prior: GammaPrior,
     is reduced on its own, so a chain's path does not depend on which chains
     share its batch.  Chain r pre-draws its uniforms, normals and alpha
     gammas, in that order, from `default_rng(cfgs[r].seed)`.
+
+    The loop only decides acceptances, in 13 numpy calls an iteration.
+    Each chain keeps its state (beta, the sum of x^beta over the failures,
+    nu(beta), ln beta) next to that of its proposal, and the log acceptance
+    ratio is one dot product of their difference with the chain's
+    coefficients (-(d - sum ln x), 1, -alpha, d2 + c - 1), plus a second
+    copy of ln beta with coefficient 0 that rejects proposals <= 0 (see the
+    comment at the state).  The alpha draws
+    are kept in the coefficient rows, and the beta path is rebuilt
+    afterwards as the running sum of the accepted steps, which repeats the
+    loop's own additions.
     """
     if not samples or len(samples) != len(cfgs):
         raise ValueError("need one MhConfig per sample, and at least one sample")
@@ -135,49 +152,68 @@ def run_mh_lockstep(samples: Sequence[CensoredSample], prior: GammaPrior,
     k = len(samples)
     rows = _sample_rows(samples, width=width)
     lnx, weight, failure = rows.lnx, rows.weights, rows.failure
-    # state of each chain and of its proposal: beta, the sum of x^beta over
-    # the failures and nu(beta); the named rows are views into them
-    cur = np.empty((3, k))
-    cand = np.empty((3, k))
-    diff = np.empty((3, k))
-    beta, _, nu_cur = cur
-    proposal = cand[0]
-    d_beta, d_sumt, d_nu = diff
-    log_unif = np.empty((n, k))
-    steps = np.empty((n, k))
-    gammas = np.empty((n, k))
+    # each chain's streams, one row a chain: log-uniforms, the initial beta
+    # followed by the proposal steps, and the coefficients of the log
+    # acceptance ratio at each iteration, whose alpha column holds the
+    # gamma draws until the loop turns them into -alpha
+    log_unif = np.empty((k, n))
+    steps = np.empty((k, n + 1))
+    coefs = np.empty((k, n, 5))
+    coefs[...] = np.stack((rows.sum_lnx - prior.d, np.ones(k), np.zeros(k),
+                           rows.d2 + prior.c - 1.0, np.zeros(k)), axis=-1)[:, None]
     for r, (s, cfg) in enumerate(zip(samples, cfgs)):
         init = cfg.init if cfg.init is not None else mle_fit(s).params_hat
         sd = cfg.proposal_sd if cfg.proposal_sd is not None else max(0.1 * abs(init.beta), 0.01)
-        beta[r] = init.beta
         rng = np.random.default_rng(cfg.seed)
-        log_unif[:, r] = rng.random(n)
-        steps[:, r] = sd * rng.standard_normal(n)
-        gammas[:, r] = rng.standard_gamma(s.d2 + prior.a, n)
+        log_unif[r] = rng.random(n)
+        steps[r, 0] = init.beta
+        steps[r, 1:] = sd * rng.standard_normal(n)
+        coefs[r, :, 2] = rng.standard_gamma(s.d2 + prior.a, n)
     np.log(log_unif, out=log_unif)
-    c1 = rows.d2 + prior.c - 1.0
-    drate = prior.d - rows.sum_lnx
-    alphas = np.empty((n, k))
-    betas = np.empty((n, k))
-    accepted = np.zeros(k, dtype=np.int64)
-    # a proposal <= 0 gives a nan or -inf delta, and so does one whose
-    # x_b^beta overflows; either is rejected below
+    moves = np.zeros((k, n), dtype=bool)
+    # the state of each chain and of its proposal: beta, the sum of x^beta
+    # over the failures, nu(beta) and ln beta twice.  The second ln beta has
+    # coefficient 0, so a proposal <= 0 gives a nan delta and is rejected: a
+    # negative one has a nan log, and at 0 the -inf log makes 0 * -inf,
+    # where (d2 + c - 1) * -inf alone would be +inf for d2 + c < 1.  A
+    # proposal whose x_b^beta overflows gives a nan delta too.
+    cur, cand = np.empty((2, k, 5))
+    beta, _, nu_cur = cur.T[:3]
+    proposal, sum_t, nu = cand.T[:3]
+    proposal_col = cand[:, :1]
+    log_beta = cand[:, 3:]
+    proposal_twice = np.broadcast_to(proposal_col, log_beta.shape)
+    diff = np.empty((k, 5))
+    neg_rate = np.empty(k)
+    delta = np.empty((k, 1))
+    t = np.empty((k, width))
+    e = np.empty((k, width))
     with np.errstate(all="ignore"):
-        cur[1], cur[2] = _support_sums(lnx, weight, failure, beta)
-        for h in range(n):
-            alpha = np.multiply(gammas[h], 1.0 / (prior.b + nu_cur), out=alphas[h])
-            np.add(beta, steps[h], out=proposal)
-            cand[1], cand[2] = _support_sums(lnx, weight, failure, proposal)
+        beta[:] = steps[:, 0]
+        cur[:, 1], cur[:, 2] = _support_sums(lnx, weight, failure, beta)
+        np.log(np.broadcast_to(cur[:, :1], log_beta.shape), out=cur[:, 3:])
+        for step, lu, coef, neg_alpha, move in zip(
+                steps.T[1:], log_unif.T[:, :, None], coefs.transpose(1, 0, 2),
+                coefs[:, :, 2].T, moves.T[:, :, None]):
+            np.subtract(-prior.b, nu_cur, out=neg_rate)
+            np.divide(neg_alpha, neg_rate, out=neg_alpha)
+            np.add(beta, step, out=proposal)
+            # `_support_sums` of the proposals, in place
+            np.multiply(proposal_col, lnx, out=t)
+            np.exp(t, out=t)
+            np.expm1(t, out=e)
+            np.vecdot(failure, t, out=sum_t)
+            np.vecdot(weight, e, out=nu)
+            np.log(proposal_twice, out=log_beta)
             np.subtract(cand, cur, out=diff)
-            delta = (c1 * np.log(proposal / beta)
-                     - d_beta * drate
-                     + d_sumt
-                     - alpha * d_nu)
-            move = (proposal > 0) & (log_unif[h] < delta)
+            np.vecdot(diff, coef, out=delta[:, 0])
+            np.less(lu, delta, out=move)
             np.copyto(cur, cand, where=move)
-            accepted += move
-            betas[h] = beta
-    alphas, betas = alphas.T.copy(), betas.T.copy()
+    # beta after each iteration: the running sum of the accepted steps
+    np.multiply(steps[:, 1:], moves, out=steps[:, 1:])
+    betas = np.add.accumulate(steps, axis=1, out=steps)[:, 1:]
+    alphas = np.negative(coefs[:, :, 2])
+    accepted = np.count_nonzero(moves, axis=1)
     chains = []
     for r, cfg in enumerate(cfgs):
         rate = float(accepted[r] / n)
@@ -252,26 +288,35 @@ def importance_sample(s: CensoredSample, prior: GammaPrior,
     return IsDraws(alpha=alphas, beta=betas, log_weight=log_w)
 
 
-def _logsumexp(v: np.ndarray) -> float:
-    m = float(np.max(v))
-    if not np.isfinite(m):
-        return m
-    return m + float(np.log(np.exp(v - m).sum()))
+def _logsumexp(v: np.ndarray) -> np.ndarray:
+    """log sum exp(v) over the last axis; a row whose largest entry is not
+    finite gives that entry."""
+    m = np.max(v, axis=-1)
+    with np.errstate(invalid="ignore"):  # inf - inf in such rows, not used
+        total = np.log(np.exp(v - m[..., None]).sum(axis=-1))
+    return np.where(np.isfinite(m), m + total, m)
 
 
-def _loss_point_estimates(values: np.ndarray, log_w: np.ndarray,
-                          loss: LossParams) -> dict[str, float]:
+def _loss_rows(values: np.ndarray, log_w: np.ndarray, loss: LossParams) -> dict[str, np.ndarray]:
+    """SEL, LINEX and entropy point estimates of rows of weighted draws.
+
+    `values` holds one row of draws along its last axis, and `log_w` their
+    log weights, broadcast against it.  Padding has log-weight -inf and
+    value 1, so it adds to no sum.  Each row is reduced on its own, so its
+    estimates do not depend on the rows beside it, only on its width.
+    `loss_estimates` is the one-row call.
+    """
     log_z = _logsumexp(log_w)
-    w = np.exp(log_w - log_z)
-    sel = float(w @ values)
-    linex = float(-(_logsumexp(log_w - loss.g * values) - log_z) / loss.g)
-    with np.errstate(over="ignore"):
+    w = np.exp(log_w - log_z[..., None])
+    sel = np.vecdot(w, values)
+    linex = -(_logsumexp(log_w - loss.g * values) - log_z) / loss.g
+    with np.errstate(over="ignore", invalid="ignore"):
         powered = values**-loss.q
-        if np.all(np.isfinite(powered)):
-            entropy = float((w @ powered) ** (-1.0 / loss.q))
-        else:
-            entropy = float(np.exp(-(_logsumexp(log_w - loss.q * np.log(values)) - log_z)
-                                   / loss.q))
+        entropy = np.vecdot(w, powered) ** (-1.0 / loss.q)
+    overflowed = ~np.all(np.isfinite(powered), axis=-1)
+    if np.any(overflowed):
+        in_logs = np.exp(-(_logsumexp(log_w - loss.q * np.log(values)) - log_z) / loss.q)
+        entropy = np.where(overflowed, in_logs, entropy)
     return {"sel": sel, "linex": linex, "entropy": entropy}
 
 
@@ -305,9 +350,10 @@ def loss_estimates(result: MhChains | IsDraws,
         }
     if alpha.size == 0:
         raise ValueError("no post-burn-in draws")
+    est = _loss_rows(np.stack((alpha, beta)), log_w, loss)
     return BayesResult(
-        alpha=_loss_point_estimates(alpha, log_w, loss),
-        beta=_loss_point_estimates(beta, log_w, loss),
+        alpha={name: float(v[0]) for name, v in est.items()},
+        beta={name: float(v[1]) for name, v in est.items()},
         loss=loss,
         diagnostics=diagnostics,
     )

@@ -10,11 +10,14 @@ The solve is row-batched: `_solve_rows` iterates on the zero-padded
 supports of many samples at once, one sample a row, and `_finish` forms
 alpha_hat, the information and the verdicts on the same rows.  `solve_beta`
 and `fit` are their one-row calls; the goodness-of-fit bootstrap fits its
-replicates as rows, and the lockstep MH kernel steps its chains on rows.  Two functions form sums over weighted supports:
-`_sums`, rescaled where e^(x^beta) would overflow, for h, its slope and the
-information; and `_support_sums`, the value kernel, for `nu`, the
-likelihood and the Bayesian samplers.  Asymptotic confidence intervals come
-from the inverse observed information.
+replicates as rows, the study fits each block of replications as rows, and
+the lockstep MH kernel steps its chains on rows.  Two functions form sums
+over weighted supports: `_sums`, rescaled where e^(x^beta) would overflow,
+for h, its slope and the information; and `_support_sums`, the value
+kernel, for `nu`, the likelihood and the Bayesian samplers.  Asymptotic
+confidence intervals come from the inverse observed information:
+`_wald_rows` forms them for rows of fits, and `confidence_intervals` is its
+one-row call.
 """
 from __future__ import annotations
 
@@ -72,13 +75,13 @@ class MleOptions:
     bracket: tuple[float, float] = (1e-4, 50.0)
 
     def __post_init__(self) -> None:
-        if self.tol <= 0 or self.max_iter < 1:
-            raise ValueError("tol must be > 0 and max_iter >= 1")
+        if not (math.isfinite(self.tol) and self.tol > 0) or self.max_iter < 1:
+            raise ValueError("tol must be a positive finite real and max_iter >= 1")
         lo, hi = self.bracket
         if not (0 < lo < hi):
             raise ValueError("bracket must satisfy 0 < low < high")
-        if self.beta_init <= 0:
-            raise ValueError("beta_init must be > 0")
+        if not (math.isfinite(self.beta_init) and self.beta_init > 0):
+            raise ValueError("beta_init must be a positive finite real")
 
 
 @dataclass(frozen=True)
@@ -202,8 +205,9 @@ def _support_sums(lnx, weights, failure, beta):
     """Sum of x^beta over the failures, and nu(beta) = sum w (e^(x^beta) - 1).
 
     The arrays are a sample's support or zero-padded rows of supports; beta's
-    axes broadcast against their leading axes.  Callers hold the errstate:
-    entering one here would slow the per-iteration MH loop.
+    axes broadcast against their leading axes.  Callers hold the errstate.
+    The lockstep MH loop forms the same sums of its proposals in place, with
+    the same operations, into buffers it allocates once.
     """
     t = np.exp(np.asarray(beta)[..., None] * lnx)
     return np.vecdot(failure, t), np.vecdot(weights, np.expm1(t))
@@ -496,18 +500,29 @@ def fit(s: CensoredSample, opts: MleOptions | None = None) -> MleFit:
     )
 
 
+def _wald_rows(estimates: np.ndarray, varcov: np.ndarray, level: float):
+    """Wald intervals theta_hat -/+ z * se of rows of (alpha_hat, beta_hat),
+    from their variance-covariance matrices: the lower and upper ends, and
+    whether each row's variances are both positive, without which the row
+    has no interval.  `confidence_intervals` is the one-row call."""
+    var = np.diagonal(varcov, axis1=-2, axis2=-1)
+    usable = ~np.any(var <= 0, axis=-1)
+    z = NormalDist().inv_cdf(0.5 + level / 2.0)
+    with np.errstate(invalid="ignore"):  # the square root of a negative variance
+        half = z * np.sqrt(var)
+    return estimates - half, estimates + half, usable
+
+
 def confidence_intervals(mle_fit: MleFit, level: float = 0.95) -> ConfidenceIntervals:
     """Wald intervals theta_hat -/+ z * se at the given coverage level."""
     if not (0 < level < 1):
         raise ValueError("level must lie in (0, 1)")
-    var_a, var_b = mle_fit.varcov[0, 0], mle_fit.varcov[1, 1]
-    if var_a <= 0 or var_b <= 0:
+    p = mle_fit.params_hat
+    lower, upper, usable = _wald_rows(np.array([p.alpha, p.beta]), mle_fit.varcov, level)
+    if not usable:
         raise ValueError("variance-covariance matrix has non-positive diagonal")
-    z = NormalDist().inv_cdf(0.5 + level / 2.0)
-    a_hat = mle_fit.params_hat.alpha
-    b_hat = mle_fit.params_hat.beta
     return ConfidenceIntervals(
         level=level,
-        alpha_interval=(a_hat - z * np.sqrt(var_a), a_hat + z * np.sqrt(var_a)),
-        beta_interval=(b_hat - z * np.sqrt(var_b), b_hat + z * np.sqrt(var_b)),
+        alpha_interval=(lower[0], upper[0]),
+        beta_interval=(lower[1], upper[1]),
     )

@@ -1,5 +1,11 @@
 """Monte Carlo study engine: canonical removal schemes, replicated
-experiments, and Bias / MSE / coverage / interval-length aggregation."""
+experiments, and Bias / MSE / coverage / interval-length aggregation.
+
+Replications run in blocks, and a block calls each estimation kernel once:
+one row-batched MLE fit of all its samples, one lockstep call for all its
+MH chains and one row-batched loss call per sampler; only the simulator and
+the importance sampler run once per replication.
+"""
 from __future__ import annotations
 
 import concurrent.futures
@@ -8,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bayes, mle
-from .censoring import CensoringPlan, simulate_experiment
+from .censoring import CensoredSample, CensoringPlan, simulate_experiment
 from .chen import ChenParams
 
 __all__ = [
@@ -29,8 +35,9 @@ MH_CHAIN_LENGTH = 2000
 MH_BURN_IN = 500
 IS_DRAWS = 2000
 
-# replications whose MH chains step together in one lockstep call; bounds
-# the (chain_length, block) arrays of pre-drawn streams a block holds
+# replications in one block, whose MH chains step together in one lockstep
+# call; bounds the (block, chain_length) arrays of pre-drawn streams and the
+# (block, chain_length, 5) coefficient rows a block holds
 MH_BLOCK = 256
 
 # frozen report schema: one row per scenario x estimator x parameter x loss
@@ -114,68 +121,95 @@ class StudyReport:
         return out
 
 
-def _one_replication(scn: Scenario, plan: CensoringPlan, rep: int,
-                     mh_queue: list) -> dict:
-    """Simulate and estimate once; per-replication counter-based RNG stream.
+def _one_replication(scn: Scenario, plan: CensoringPlan,
+                     rep: int) -> tuple[np.random.Generator, CensoredSample]:
+    """Replication `rep`'s random stream and its simulated sample.
 
-    The stream gives, in order: the sample, the MH seed (drawn only when
-    the fit succeeded) and the IS seed.  The MH chain is left to the
-    caller: (record, sample, config) is appended to `mh_queue` and
-    `_replicate_block` fills in the record's MH estimates later.
+    The stream is counter-based, `default_rng([scn.seed, rep])`, and gives,
+    in order: the sample, the MH seed (drawn only when the fit of the sample
+    succeeded) and the IS seed.  It is returned positioned after the sample.
     """
     rng = np.random.default_rng([scn.seed, rep])
-    sample = simulate_experiment(plan, scn.true_params, rng)
-    out: dict = {"case": sample.case.value}
-    fit_result = None
-    if scn.estimators & {"mle", "mh"}:
-        try:
-            fit_result = mle.fit(sample)
-        except (mle.DegenerateSampleError, mle.NoRootError):
-            fit_result = None
-    if "mle" in scn.estimators:
-        out["mle"] = None
-        if fit_result is not None:
-            try:
-                ci = mle.confidence_intervals(fit_result, scn.ci_level)
-            except ValueError:  # a non-positive variance: no Wald interval
-                pass
-            else:
-                out["mle"] = {
-                    "alpha": fit_result.params_hat.alpha,
-                    "beta": fit_result.params_hat.beta,
-                    "alpha_ci": ci.alpha_interval,
-                    "beta_ci": ci.beta_interval,
-                }
-    if "mh" in scn.estimators:
-        out["mh"] = None
-        if fit_result is not None:
-            mh_queue.append((out, sample, bayes.MhConfig(
-                chain_length=MH_CHAIN_LENGTH,
-                burn_in=MH_BURN_IN,
-                init=fit_result.params_hat,
-                seed=int(rng.integers(2**63)),
-            )))
-    if "is" in scn.estimators:
-        try:
-            draws = bayes.importance_sample(
-                sample, scn.prior,
-                bayes.IsConfig(draws=IS_DRAWS, seed=int(rng.integers(2**63))))
-            est = bayes.loss_estimates(draws, scn.loss)
-            out["is"] = {"alpha": est.alpha, "beta": est.beta}
-        except bayes.ProposalInvalidError:
-            out["is"] = None
-    return out
+    return rng, simulate_experiment(plan, scn.true_params, rng)
+
+
+def _loss_records(records: list[dict], estimator: str, values: np.ndarray,
+                  log_w: np.ndarray, loss: bayes.LossParams) -> None:
+    """Set each record's `estimator` entry from one `bayes._loss_rows` call
+    on its row of (alpha, beta) draws."""
+    est = bayes._loss_rows(values, log_w, loss)
+    for r, record in enumerate(records):
+        record[estimator] = {
+            param: {name: float(v[r, i]) for name, v in est.items()}
+            for i, param in enumerate(("alpha", "beta"))
+        }
 
 
 def _replicate_block(scn: Scenario, plan: CensoringPlan, start: int, stop: int) -> list[dict]:
-    """Replications start..stop-1, their MH chains stepped in one lockstep call."""
-    queue: list = []
-    records = [_one_replication(scn, plan, rep, queue) for rep in range(start, stop)]
-    if queue:
-        mh_records, samples, cfgs = zip(*queue)
-        for record, chains in zip(mh_records, bayes.run_mh_lockstep(samples, scn.prior, cfgs)):
-            est = bayes.loss_estimates(chains, scn.loss)
-            record["mh"] = {"alpha": est.alpha, "beta": est.beta}
+    """Replications start..stop-1, with one call of each kernel for the block.
+
+    Every replication is simulated first.  One `mle._fit_rows` call then
+    fits all the samples, and only then does each replication draw its MH
+    and IS seeds from its own stream.  The MH chains step in one lockstep
+    call, IS runs once per replication, and the loss estimates of each
+    sampler come from one `bayes._loss_rows` call.  MH rows are
+    `MH_CHAIN_LENGTH - MH_BURN_IN` draws wide; IS rows are padded to
+    `IS_DRAWS`, so no row's sums depend on its block.
+    """
+    streams, samples = zip(*(_one_replication(scn, plan, rep) for rep in range(start, stop)))
+    records = [{"case": s.case.value} for s in samples]
+    fitted = np.zeros(len(samples), dtype=bool)
+    if scn.estimators & {"mle", "mh"}:
+        fits = mle._fit_rows(mle._sample_rows(samples, width=plan.m + 1))
+        fitted = ~np.isnan(fits.alpha)
+        lower, upper, usable = mle._wald_rows(np.stack((fits.alpha, fits.beta), axis=-1),
+                                              fits.varcov, scn.ci_level)
+    mh_records, mh_samples, mh_cfgs = [], [], []
+    is_records, is_draws = [], []
+    for r, (record, rng, sample) in enumerate(zip(records, streams, samples)):
+        if "mle" in scn.estimators:
+            record["mle"] = None
+            if fitted[r] and usable[r]:
+                record["mle"] = {
+                    "alpha": float(fits.alpha[r]),
+                    "beta": float(fits.beta[r]),
+                    "alpha_ci": (lower[r, 0], upper[r, 0]),
+                    "beta_ci": (lower[r, 1], upper[r, 1]),
+                }
+        if "mh" in scn.estimators:
+            record["mh"] = None
+            if fitted[r]:
+                mh_records.append(record)
+                mh_samples.append(sample)
+                mh_cfgs.append(bayes.MhConfig(
+                    chain_length=MH_CHAIN_LENGTH,
+                    burn_in=MH_BURN_IN,
+                    init=ChenParams(float(fits.alpha[r]), float(fits.beta[r])),
+                    seed=int(rng.integers(2**63)),
+                ))
+        if "is" in scn.estimators:
+            record["is"] = None
+            try:
+                draws = bayes.importance_sample(
+                    sample, scn.prior,
+                    bayes.IsConfig(draws=IS_DRAWS, seed=int(rng.integers(2**63))))
+            except bayes.ProposalInvalidError:
+                continue
+            is_records.append(record)
+            is_draws.append(draws)
+    if mh_records:
+        chains = bayes.run_mh_lockstep(mh_samples, scn.prior, mh_cfgs)
+        values = np.array([(c.alpha[MH_BURN_IN:], c.beta[MH_BURN_IN:]) for c in chains])
+        log_w = np.zeros((len(chains), 1, values.shape[-1]))
+        _loss_records(mh_records, "mh", values, log_w, scn.loss)
+    if is_records:
+        values = np.ones((len(is_draws), 2, IS_DRAWS))
+        log_w = np.full((len(is_draws), 1, IS_DRAWS), -np.inf)
+        for row, draws in enumerate(is_draws):
+            size = draws.alpha.size
+            values[row, :, :size] = draws.alpha, draws.beta
+            log_w[row, 0, :size] = draws.log_weight
+        _loss_records(is_records, "is", values, log_w, scn.loss)
     return records
 
 

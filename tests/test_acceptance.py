@@ -236,7 +236,7 @@ def _batch_loss_se(values, log_w, loss, nb=20):
     per_batch = {name: [] for name in bayes.LOSSES}
     for i in range(nb):
         sl = slice(i * k, (i + 1) * k)
-        est = bayes._loss_point_estimates(values[sl], log_w[sl], loss)
+        est = bayes._loss_rows(values[sl], log_w[sl], loss)
         for name in bayes.LOSSES:
             per_batch[name].append(est[name])
     return {name: float(np.std(per_batch[name], ddof=1) / math.sqrt(nb))

@@ -81,13 +81,15 @@ def reference_chain(s, prior, cfg):
     same arithmetic over the unpadded support."""
     rng = np.random.default_rng(cfg.seed)
     beta = cfg.init.beta
-    sd = max(0.1 * abs(beta), 0.01)
+    sd = cfg.proposal_sd if cfg.proposal_sd is not None else max(0.1 * abs(beta), 0.01)
     drate = prior.d - s.sum_lnx
     c1 = s.d2 + prior.c - 1.0
 
     def parts(b):
-        t = np.exp(b * s.log_support)
-        return float(s.weights @ np.expm1(t)), float(t[:s.d2].sum())
+        # a wide proposal can overflow nu to inf; its delta is then -inf
+        with np.errstate(over="ignore"):
+            t = np.exp(b * s.log_support)
+            return float(s.weights @ np.expm1(t)), float(t[:s.d2].sum())
 
     n = cfg.chain_length
     alphas, betas = np.empty(n), np.empty(n)
@@ -224,9 +226,14 @@ class TestRunMhGibbs:
             bayes.MhConfig(chain_length=100, burn_in=100)
         with pytest.raises(ValueError):
             bayes.MhConfig(proposal_sd=-0.1)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                bayes.MhConfig(proposal_sd=bad)
+            with pytest.raises(ValueError):
+                bayes.GammaPrior(a=bad)
 
 
-def lockstep_batch(count=8, chain_length=600):
+def lockstep_batch(count=8, chain_length=600, proposal_sd=None):
     """Fitted samples of two m = 20 plans, mixing censoring cases 1-3, so
     rows carry different support sizes and some end in zero padding.  Rows
     this wide sum in blocks, so a pad width that followed the batch would
@@ -242,8 +249,8 @@ def lockstep_batch(count=8, chain_length=600):
         except (mle.DegenerateSampleError, mle.NoRootError):
             continue
         samples.append(s)
-        cfgs.append(bayes.MhConfig(chain_length=chain_length, burn_in=100, init=init,
-                                   seed=100 + len(samples)))
+        cfgs.append(bayes.MhConfig(chain_length=chain_length, burn_in=min(100, chain_length - 1),
+                                   proposal_sd=proposal_sd, init=init, seed=100 + len(samples)))
     return samples, cfgs
 
 
@@ -261,15 +268,51 @@ class TestLockstep:
                 assert chains.acceptance_rate == solo.acceptance_rate
 
     def test_matches_scalar_reference_loop(self):
-        """Padding changes only the summation order of nu, so the chains
-        agree with the scalar loop to rounding."""
-        samples, cfgs = lockstep_batch()
-        for s, cfg, chains in zip(samples, cfgs, bayes.run_mh_lockstep(samples, PRIOR, cfgs)):
-            alphas, betas, rate = reference_chain(s, PRIOR, cfg)
-            np.testing.assert_allclose(chains.alpha, alphas, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(chains.beta, betas, rtol=1e-12, atol=0)
-            assert chains.acceptance_rate == rate
-            assert chains.burn_in == cfg.burn_in
+        """Padding changes only the summation order of nu, and the log
+        acceptance ratio is summed in another order, so the chains agree
+        with the scalar loop to rounding and accept the same proposals.
+        Besides the default batch: a proposal sd so wide that proposals
+        <= 0 occur and acceptance falls below 0.1, a chain of one
+        iteration, and an odd chain length."""
+        for kwargs in ({}, {"proposal_sd": 3.0}, {"chain_length": 1}, {"chain_length": 601}):
+            samples, cfgs = lockstep_batch(**kwargs)
+            nonpositive = 0
+            for s, cfg, chains in zip(samples, cfgs, bayes.run_mh_lockstep(samples, PRIOR, cfgs)):
+                alphas, betas, rate = reference_chain(s, PRIOR, cfg)
+                np.testing.assert_allclose(chains.alpha, alphas, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(chains.beta, betas, rtol=1e-12, atol=0)
+                assert chains.acceptance_rate == rate
+                assert chains.burn_in == cfg.burn_in
+                assert chains.alpha.size == chains.beta.size == cfg.chain_length
+                if "proposal_sd" in kwargs:
+                    assert rate < 0.1
+                    rng = np.random.default_rng(cfg.seed)
+                    rng.random(cfg.chain_length)
+                    steps = cfg.proposal_sd * rng.standard_normal(cfg.chain_length)
+                    previous = np.concatenate(([cfg.init.beta], betas[:-1]))
+                    nonpositive += np.count_nonzero(previous + steps <= 0)
+            if "proposal_sd" in kwargs:
+                assert nonpositive > 0
+
+    def test_proposal_of_exactly_zero_is_rejected(self):
+        """With d2 = 0 and prior shape c < 1 the beta kernel's power
+        d2 + c - 1 is negative, so its log term is +inf at beta = 0; a
+        proposal of exactly 0 must still be rejected.  The first step of
+        seed 0 is -z with z its first normal, and the chain starts at z."""
+        plan = CensoringPlan(n=10, m=3, removals=(2, 2, 3), t1=1e-9, t2=2e-9)
+        s = simulate_experiment(plan, ChenParams(0.2, 0.5), np.random.default_rng(0))
+        assert s.d2 == 0
+        n = 4
+        rng = np.random.default_rng(0)
+        rng.random(n)
+        start = -rng.standard_normal(n)[0]
+        assert start > 0
+        prior = bayes.GammaPrior(c=0.5)
+        cfg = bayes.MhConfig(chain_length=n, burn_in=0, proposal_sd=1.0, seed=0,
+                             init=ChenParams(1.0, start))
+        chains = bayes.run_mh_gibbs(s, prior, cfg)
+        assert chains.beta[0] == start
+        assert np.all(chains.beta > 0)
 
     def test_rejects_mismatched_batches(self):
         samples, cfgs = lockstep_batch(count=2)
@@ -415,6 +458,10 @@ class TestLossEstimates:
             bayes.LossParams(g=0.0)
         with pytest.raises(ValueError):
             bayes.LossParams(q=0.0)
+        with pytest.raises(ValueError):
+            bayes.LossParams(g=float("nan"))
+        with pytest.raises(ValueError):
+            bayes.LossParams(q=float("inf"))
 
     def test_prior_dominates_without_data_weight(self, sample_case3):
         """As the prior tightens, the posterior mean moves to the prior mean."""

@@ -258,6 +258,12 @@ DEVICES = ("--data", "builtin:devices30", "--complete")
     ("study", "--paper-grid", "--estimators", "magic", "--dry-run"),
     ("fit", *DEVICES, "--level", "1.5"),
     ("fit", *DEVICES, "--tol", "0"),
+    ("bayes", *DEVICES, "--a", "nan"),
+    ("bayes", *DEVICES, "--d", "inf"),
+    ("bayes", *DEVICES, "--g", "nan"),
+    ("bayes", *DEVICES, "--proposal-sd", "nan"),
+    ("fit", *DEVICES, "--beta-init", "nan"),
+    ("fit", *DEVICES, "--tol", "inf"),
 ])
 def test_invalid_option_value_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

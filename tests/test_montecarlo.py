@@ -139,14 +139,22 @@ class TestRunStudy:
         assert mc._replicate_block(scn, plan, 0, 5)[3] == solo
         assert mc._replicate_block(replace(scn, replications=20), plan, 0, 20)[3] == solo
 
-        queue = []
-        for rep in range(5):
-            mc._one_replication(scn, plan, rep, queue)
-        _, samples, cfgs = zip(*queue)
-        rows = bayes.run_mh_lockstep(samples, scn.prior, cfgs)
+        real = mc.bayes.run_mh_lockstep
+        calls = []
+
+        def recorded(samples, prior, cfgs):
+            calls.append((samples, cfgs))
+            return real(samples, prior, cfgs)
+
+        monkeypatch.setattr(mc.bayes, "run_mh_lockstep", recorded)
+        mc._replicate_block(scn, plan, 0, 5)
+        [(samples, cfgs)] = calls
+        assert len(samples) == 5
+        rows = real(samples, scn.prior, cfgs)
         alone = bayes.run_mh_gibbs(samples[3], scn.prior, cfgs[3])
         np.testing.assert_array_equal(alone.alpha, rows[3].alpha)
         np.testing.assert_array_equal(alone.beta, rows[3].beta)
+        monkeypatch.undo()
 
         rows_1 = mc.run_study(scn, workers=1).to_rows()
         assert mc.run_study(scn, workers=2).to_rows() == rows_1
@@ -155,27 +163,57 @@ class TestRunStudy:
         assert mc.run_study(scn, workers=1).to_rows() == rows_1
 
     def test_interval_failure_is_an_mle_failure(self, monkeypatch):
-        """A ValueError from the Wald intervals drops that replication's MLE
-        row only; MH and IS still run from the fit."""
+        """A fit without Wald intervals (a non-positive variance) drops that
+        replication's MLE row only; MH and IS still run from the fit."""
         scn = mc.Scenario(n=15, m=5, scheme="I", t1=0.4, t2=4.0,
                           true_params=TRUTH, replications=6, seed=4,
                           estimators=frozenset({"mle", "mh", "is"}))
         base = mc.run_study(scn)
-        real = mc.mle.confidence_intervals
+        real = mc.mle._fit_rows
         calls = []
 
-        def second_call_fails(fit, level=0.95):
-            calls.append(fit)
-            if len(calls) == 2:
-                raise ValueError("variance-covariance matrix has non-positive diagonal")
-            return real(fit, level)
+        def second_fit_has_no_interval(rows, opts=None):
+            fits = real(rows, opts)
+            calls.append(fits)
+            second = np.flatnonzero(~np.isnan(fits.alpha))[1]
+            fits.varcov[second, 0, 0] = -fits.varcov[second, 0, 0]
+            return fits
 
-        monkeypatch.setattr(mc.mle, "confidence_intervals", second_call_fails)
+        monkeypatch.setattr(mc.mle, "_fit_rows", second_fit_has_no_interval)
         report = mc.run_study(scn)
-        assert len(calls) == scn.replications - base.failures["mle"]
+        assert [fits.alpha.size for fits in calls] == [scn.replications]
+        assert len(calls[0].errors) == base.failures["mle"]
         assert report.failures == {**base.failures, "mle": base.failures["mle"] + 1}
         bayes_rows = [r for r in base.to_rows() if r["estimator"] != "mle"]
         assert [r for r in report.to_rows() if r["estimator"] != "mle"] == bayes_rows
+
+    def test_block_fits_match_one_fit_per_replication(self):
+        """Each block row's estimates and Wald intervals equal those of
+        `mle.fit` and `confidence_intervals` on the same sample, within
+        1e-12 relative, and the block fails exactly the replications whose
+        one-row fit raises (here samples with fewer than two failures)."""
+        scn = mc.Scenario(n=15, m=5, scheme="II", t1=0.05, t2=0.4,
+                          true_params=TRUTH, replications=24, seed=5,
+                          estimators=frozenset({"mle"}))
+        plan = scn.plan()
+        records = mc._replicate_block(scn, plan, 0, scn.replications)
+        failed = 0
+        for rep, record in enumerate(records):
+            _, sample = mc._one_replication(scn, plan, rep)
+            try:
+                fit = mc.mle.fit(sample)
+            except (mc.mle.DegenerateSampleError, mc.mle.NoRootError):
+                assert sample.d2 < 2
+                assert record["mle"] is None
+                failed += 1
+                continue
+            ci = mc.mle.confidence_intervals(fit, scn.ci_level)
+            row = record["mle"]
+            np.testing.assert_allclose(
+                [row["alpha"], row["beta"], *row["alpha_ci"], *row["beta_ci"]],
+                [fit.params_hat.alpha, fit.params_hat.beta, *ci.alpha_interval,
+                 *ci.beta_interval], rtol=1e-12, atol=0)
+        assert 0 < failed < scn.replications
 
     def test_experiments_without_failures_are_counted_not_raised(self):
         """Every unit outlives t2, so each sample has d2 = 0: MLE and MH
