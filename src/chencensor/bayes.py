@@ -233,12 +233,6 @@ def run_mh_gibbs(s: CensoredSample, prior: GammaPrior,
     return run_mh_lockstep([s], prior, [cfg or MhConfig()])[0]
 
 
-def _gamma_logpdf(x, shape: float, rate):
-    """Log-density of Gamma(shape, rate) at x > 0."""
-    xr = x * rate
-    return (shape - 1.0) * np.log(xr) - xr - math.lgamma(shape) + np.log(rate)
-
-
 def importance_sample(s: CensoredSample, prior: GammaPrior,
                       cfg: IsConfig | None = None) -> IsDraws:
     """Weighted posterior draws via the gamma proposal factorization.
@@ -255,29 +249,20 @@ def importance_sample(s: CensoredSample, prior: GammaPrior,
             f"beta proposal rate d - sum(ln x) = {drate:.4g} is not positive for this "
             "dataset; the importance sampler is invalid here, use the MH sampler"
         )
-    shape_b = s.d2 + prior.c
     shape_a = s.d2 + prior.a
-    betas = rng.gamma(shape=shape_b, scale=1.0 / drate, size=cfg.draws)
+    betas = rng.gamma(shape=s.d2 + prior.c, scale=1.0 / drate, size=cfg.draws)
 
-    # nu of all units and of the censored ones alone (weights R_i, then b),
-    # which is all the alpha proposal's rate keeps
-    weights = np.stack((s.weights, s.weights - s.failure))[:, None]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        sum_t, (nu_all, cens) = _support_sums(s.log_support, weights, s.failure, betas)
-        cens_rate = prior.b + cens
+    # nu of the failures alone (weights 1) and of the censored units alone
+    # (weights R_i, then b); the alpha proposal's rate keeps the second.  The
+    # target kernel less the two gamma proposal log-densities is then
+    # sum x^beta - alpha nu_fail - (d2 + a) ln(b + nu_cens), up to a
+    # constant that the normalisation below drops
+    weights = np.stack((s.failure, s.weights - s.failure))[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        sum_t, (nu_fail, nu_cens) = _support_sums(s.log_support, weights, s.failure, betas)
+        cens_rate = prior.b + nu_cens
         alphas = rng.gamma(shape=shape_a, scale=1.0 / cens_rate)
-        log_kernel = (
-            (shape_a - 1.0) * np.log(alphas)
-            - alphas * (prior.b + nu_all)
-            + (shape_b - 1.0) * np.log(betas)
-            - betas * drate
-            + sum_t
-        )
-        log_w = (
-            log_kernel
-            - _gamma_logpdf(betas, shape_b, drate)
-            - _gamma_logpdf(alphas, shape_a, cens_rate)
-        )
+        log_w = sum_t - alphas * nu_fail - shape_a * np.log(cens_rate)
     # proposal draws far enough in the beta tail overflow e^(x^beta); their
     # target density is zero there, so they carry no weight
     usable = np.isfinite(log_w) & (alphas > 0)

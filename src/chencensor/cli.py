@@ -176,22 +176,20 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _fit_censored(args):
+def _load_censored(args):
+    """The sample of `--data`, complete or under the plan flags."""
     data = _load_data(args)
-    if args.complete:
-        plan = gof.complete_plan(data.size)
-    else:
-        plan = _build_plan(args)
-    sample = load_sample(data, plan)
-    opts = _checked(mle.MleOptions, beta_init=args.beta_init, tol=args.tol,
-                    max_iter=args.max_iter)
-    return data, sample, mle.fit(sample, opts)
+    plan = gof.complete_plan(data.size) if args.complete else _build_plan(args)
+    return load_sample(data, plan)
 
 
 def cmd_fit(args) -> int:
     if not 0.0 < args.level < 1.0:
         raise UsageError("--level must lie in (0, 1)")
-    data, sample, fit_result = _fit_censored(args)
+    sample = _load_censored(args)
+    opts = _checked(mle.MleOptions, beta_init=args.beta_init, tol=args.tol,
+                    max_iter=args.max_iter)
+    fit_result = mle.fit(sample, opts)
     ci = mle.confidence_intervals(fit_result, args.level)
     payload = {
         "alpha_hat": fit_result.params_hat.alpha,
@@ -217,12 +215,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_bayes(args) -> int:
-    data = _load_data(args)
-    if args.complete:
-        plan = gof.complete_plan(data.size)
-    else:
-        plan = _build_plan(args)
-    sample = load_sample(data, plan)
+    sample = _load_censored(args)
     prior = _checked(bayes.GammaPrior, args.a, args.b, args.c, args.d)
     loss = _checked(bayes.LossParams, g=args.g, q=args.q)
     seed = _seed_of(args)

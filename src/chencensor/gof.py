@@ -7,6 +7,8 @@ sorted, refitted by the row-batched MLE and scored as one array.
 """
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,11 +22,6 @@ from .chen import ChenParams, _cdf, cdf, quantile, sample as chen_sample  # noqa
 __all__ = ["GofReport", "ks_statistic", "ad_statistic", "bootstrap_pvalue",
            "fit_complete", "gof_report"]
 
-# thresholds are irrelevant for a complete sample; any valid pair keeps
-# the classification in the no-censoring case
-_HUGE_T1 = 1e12
-_HUGE_T2 = 2e12
-
 # values per bootstrap block, about 273 replicates of 30: large enough that
 # numpy's per-call cost is spread thin, small enough to keep the block's
 # temporaries in cache and the peak memory flat
@@ -32,7 +29,9 @@ _BLOCK_ELEMENTS = 8192
 
 
 def complete_plan(n: int) -> CensoringPlan:
-    return CensoringPlan(n=n, m=n, removals=(0,) * n, t1=_HUGE_T1, t2=_HUGE_T2)
+    """The plan under which n times are a complete sample: no removals, t1
+    the largest finite float and t2 infinite, so every time is a failure."""
+    return CensoringPlan(n=n, m=n, removals=(0,) * n, t1=sys.float_info.max, t2=math.inf)
 
 
 def fit_complete(data) -> mle.MleFit:

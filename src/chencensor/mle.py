@@ -253,6 +253,10 @@ def log_likelihood(p: ChenParams, s: CensoredSample) -> float:
     """Log-likelihood up to the parameter-free combinatorial constant."""
     _check_params(p)
     sum_t, v = _sample_sums(s, p.beta)
+    if v == math.inf:
+        # an e^(x^beta) overflowed, so the likelihood is 0 at alpha > 0; where
+        # that x is a failure time, sum_t is inf too and the sum below is nan
+        return -math.inf
     value = s.d2 * (math.log(p.alpha) + math.log(p.beta))
     value += (p.beta - 1.0) * s.sum_lnx + sum_t
     return value - p.alpha * v

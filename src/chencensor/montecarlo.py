@@ -4,7 +4,9 @@ experiments, and Bias / MSE / coverage / interval-length aggregation.
 Replications run in blocks, and a block calls each estimation kernel once:
 one row-batched MLE fit of all its samples, one lockstep call for all its
 MH chains and one row-batched loss call per sampler; only the simulator and
-the importance sampler run once per replication.
+the importance sampler run once per replication.  A block keeps each
+estimator's results as one array, a row per replication, from the kernels
+to the report, which one loop builds from the concatenated blocks.
 """
 from __future__ import annotations
 
@@ -133,20 +135,14 @@ def _one_replication(scn: Scenario, plan: CensoringPlan,
     return rng, simulate_experiment(plan, scn.true_params, rng)
 
 
-def _loss_records(records: list[dict], estimator: str, values: np.ndarray,
-                  log_w: np.ndarray, loss: bayes.LossParams) -> None:
-    """Set each record's `estimator` entry from one `bayes._loss_rows` call
-    on its row of (alpha, beta) draws."""
-    est = bayes._loss_rows(values, log_w, loss)
-    for r, record in enumerate(records):
-        record[estimator] = {
-            param: {name: float(v[r, i]) for name, v in est.items()}
-            for i, param in enumerate(("alpha", "beta"))
-        }
-
-
-def _replicate_block(scn: Scenario, plan: CensoringPlan, start: int, stop: int) -> list[dict]:
+def _replicate_block(scn: Scenario, plan: CensoringPlan, start: int,
+                     stop: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Replications start..stop-1, with one call of each kernel for the block.
+
+    Returns each replication's censoring case and, per estimator, one
+    (replications, 2, 3) array over (alpha, beta): the MLE's estimate and
+    Wald interval ends, or a sampler's SEL, LINEX and entropy estimates;
+    nan where the replication has no estimate.
 
     Every replication is simulated first.  One `mle._fit_rows` call then
     fits all the samples, and only then does each replication draw its MH
@@ -157,101 +153,91 @@ def _replicate_block(scn: Scenario, plan: CensoringPlan, start: int, stop: int) 
     `IS_DRAWS`, so no row's sums depend on its block.
     """
     streams, samples = zip(*(_one_replication(scn, plan, rep) for rep in range(start, stop)))
-    records = [{"case": s.case.value} for s in samples]
-    fitted = np.zeros(len(samples), dtype=bool)
+    estimates = {name: np.full((len(samples), 2, 3), np.nan) for name in scn.estimators}
     if scn.estimators & {"mle", "mh"}:
         fits = mle._fit_rows(mle._sample_rows(samples, width=plan.m + 1))
         fitted = ~np.isnan(fits.alpha)
-        lower, upper, usable = mle._wald_rows(np.stack((fits.alpha, fits.beta), axis=-1),
-                                              fits.varcov, scn.ci_level)
-    mh_records, mh_samples, mh_cfgs = [], [], []
-    is_records, is_draws = [], []
-    for r, (record, rng, sample) in enumerate(zip(records, streams, samples)):
         if "mle" in scn.estimators:
-            record["mle"] = None
-            if fitted[r] and usable[r]:
-                record["mle"] = {
-                    "alpha": float(fits.alpha[r]),
-                    "beta": float(fits.beta[r]),
-                    "alpha_ci": (lower[r, 0], upper[r, 0]),
-                    "beta_ci": (lower[r, 1], upper[r, 1]),
-                }
-        if "mh" in scn.estimators:
-            record["mh"] = None
-            if fitted[r]:
-                mh_records.append(record)
-                mh_samples.append(sample)
-                mh_cfgs.append(bayes.MhConfig(
-                    chain_length=MH_CHAIN_LENGTH,
-                    burn_in=MH_BURN_IN,
-                    init=ChenParams(float(fits.alpha[r]), float(fits.beta[r])),
-                    seed=int(rng.integers(2**63)),
-                ))
+            theta = np.stack((fits.alpha, fits.beta), axis=-1)
+            lower, upper, usable = mle._wald_rows(theta, fits.varcov, scn.ci_level)
+            ok = fitted & usable
+            estimates["mle"][ok] = np.stack((theta, lower, upper), axis=-1)[ok]
+    mh_rows, mh_samples, mh_cfgs = [], [], []
+    is_rows, is_draws = [], []
+    for r, (rng, sample) in enumerate(zip(streams, samples)):
+        if "mh" in scn.estimators and fitted[r]:
+            mh_rows.append(r)
+            mh_samples.append(sample)
+            mh_cfgs.append(bayes.MhConfig(
+                chain_length=MH_CHAIN_LENGTH,
+                burn_in=MH_BURN_IN,
+                init=ChenParams(float(fits.alpha[r]), float(fits.beta[r])),
+                seed=int(rng.integers(2**63)),
+            ))
         if "is" in scn.estimators:
-            record["is"] = None
             try:
-                draws = bayes.importance_sample(
+                is_draws.append(bayes.importance_sample(
                     sample, scn.prior,
-                    bayes.IsConfig(draws=IS_DRAWS, seed=int(rng.integers(2**63))))
+                    bayes.IsConfig(draws=IS_DRAWS, seed=int(rng.integers(2**63)))))
             except bayes.ProposalInvalidError:
                 continue
-            is_records.append(record)
-            is_draws.append(draws)
-    if mh_records:
+            is_rows.append(r)
+    samplers = []
+    if mh_rows:
         chains = bayes.run_mh_lockstep(mh_samples, scn.prior, mh_cfgs)
         values = np.array([(c.alpha[MH_BURN_IN:], c.beta[MH_BURN_IN:]) for c in chains])
-        log_w = np.zeros((len(chains), 1, values.shape[-1]))
-        _loss_records(mh_records, "mh", values, log_w, scn.loss)
-    if is_records:
+        samplers.append(("mh", mh_rows, values, np.zeros((len(chains), 1, values.shape[-1]))))
+    if is_rows:
         values = np.ones((len(is_draws), 2, IS_DRAWS))
         log_w = np.full((len(is_draws), 1, IS_DRAWS), -np.inf)
         for row, draws in enumerate(is_draws):
             size = draws.alpha.size
             values[row, :, :size] = draws.alpha, draws.beta
             log_w[row, 0, :size] = draws.log_weight
-        _loss_records(is_records, "is", values, log_w, scn.loss)
-    return records
+        samplers.append(("is", is_rows, values, log_w))
+    for name, rows, values, log_w in samplers:
+        est = bayes._loss_rows(values, log_w, scn.loss)
+        estimates[name][rows] = np.stack([est[loss] for loss in bayes.LOSSES], axis=-1)
+    return np.array([s.case.value for s in samples]), estimates
 
 
-def _aggregate(scn: Scenario, results: list[dict]) -> StudyReport:
+def _aggregate(scn: Scenario, blocks: list[tuple[np.ndarray, dict]]) -> StudyReport:
+    """The report of the blocks' cases and estimates, in replication order.
+
+    A replication's estimate of alpha (the MLE, or a sampler's SEL) is
+    finite whenever it has one, so a nan there marks a failure.  The MLE's
+    only loss is "none", and its interval ends give the coverage and the
+    interval length.
+    """
     report = StudyReport(scenario=scn)
-    n_rep = len(results)
-    cases = np.array([r["case"] for r in results])
+    cases = np.concatenate([block[0] for block in blocks])
+    n_rep = cases.size
     report.case_frequencies = {c: float(np.mean(cases == c)) for c in (1, 2, 3)}
-    truth = {"alpha": scn.true_params.alpha, "beta": scn.true_params.beta}
-
+    truth = (scn.true_params.alpha, scn.true_params.beta)
     for estimator in sorted(scn.estimators):
-        ok = [r[estimator] for r in results if r[estimator] is not None]
-        report.failures[estimator] = n_rep - len(ok)
-        if not ok:
+        est = np.concatenate([block[1][estimator] for block in blocks])
+        est = est[~np.isnan(est[:, 0, 0])]
+        used = est.shape[0]
+        report.failures[estimator] = n_rep - used
+        if not used:
             continue
-        if estimator == "mle":
-            for param in ("alpha", "beta"):
-                est = np.array([r[param] for r in ok])
-                ci = np.array([r[f"{param}_ci"] for r in ok])
-                covered = (ci[:, 0] <= truth[param]) & (truth[param] <= ci[:, 1])
-                report.rows.append({
-                    "estimator": estimator, "parameter": param, "loss": "none",
-                    "bias": float(np.mean(est) - truth[param]),
-                    "mse": float(np.mean((est - truth[param]) ** 2)),
-                    "coverage": float(np.mean(covered)),
-                    "avg_ci_length": float(np.mean(ci[:, 1] - ci[:, 0])),
-                    "replications_used": len(ok),
-                    "failures": report.failures[estimator],
-                })
-        else:
-            for param in ("alpha", "beta"):
-                for loss_name in bayes.LOSSES:
-                    est = np.array([r[param][loss_name] for r in ok])
-                    report.rows.append({
-                        "estimator": estimator, "parameter": param, "loss": loss_name,
-                        "bias": float(np.mean(est) - truth[param]),
-                        "mse": float(np.mean((est - truth[param]) ** 2)),
-                        "coverage": None,
-                        "avg_ci_length": None,
-                        "replications_used": len(ok),
-                        "failures": report.failures[estimator],
-                    })
+        losses = ("none",) if estimator == "mle" else bayes.LOSSES
+        for i, param in enumerate(("alpha", "beta")):
+            for j, loss_name in enumerate(losses):
+                row = {
+                    "estimator": estimator, "parameter": param, "loss": loss_name,
+                    "bias": float(np.mean(est[:, i, j]) - truth[i]),
+                    "mse": float(np.mean((est[:, i, j] - truth[i]) ** 2)),
+                    "coverage": None,
+                    "avg_ci_length": None,
+                    "replications_used": used,
+                    "failures": n_rep - used,
+                }
+                if estimator == "mle":
+                    lower, upper = est[:, i, 1], est[:, i, 2]
+                    row["coverage"] = float(np.mean((lower <= truth[i]) & (truth[i] <= upper)))
+                    row["avg_ci_length"] = float(np.mean(upper - lower))
+                report.rows.append(row)
     if all(report.failures.get(e, 0) == n_rep for e in scn.estimators):
         raise RuntimeError("every replication failed for every estimator")
     return report
@@ -274,7 +260,7 @@ def run_study(scn: Scenario, workers: int = 1) -> StudyReport:
                                    [plan] * len(stops), starts, stops))
     else:
         blocks = [_replicate_block(scn, plan, a, b) for a, b in zip(starts, stops)]
-    return _aggregate(scn, [record for block in blocks for record in block])
+    return _aggregate(scn, blocks)
 
 
 def paper_grid(replications: int = 2000, seed: int = 0,

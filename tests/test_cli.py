@@ -110,6 +110,17 @@ class TestFit:
         assert len(grid) == 5
         assert all(pt["hazard"] > 0 for pt in grid)
 
+    def test_complete_data_beyond_any_threshold(self, capsys, tmp_path):
+        """A complete sample is case 1 however large its times are."""
+        data = tmp_path / "big.txt"
+        data.write_text("1.0 2.0 3e12\n")
+        code, out, err = run_cli(capsys, "fit", "--data", str(data), "--complete",
+                                 "--format", "json")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["case"] == 1
+        assert payload["alpha_hat"] > 0 and payload["beta_hat"] > 0
+
     def test_no_root_is_runtime_error_without_traceback(self, capsys, tmp_path):
         data = tmp_path / "tiny.txt"
         data.write_text("1.49e-9\n1.54e-9\n")

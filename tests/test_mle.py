@@ -134,6 +134,16 @@ class TestSupportSums:
         # the score reads nu from its rescaled pass, where e^(inf - inf) is nan
         assert mle.score(ChenParams(0.5, beta), s)[0] == -math.inf
 
+    def test_overflowed_failure_time_gives_minus_inf(self):
+        """In case 2 the last failure is x_b, so its x^beta overflows into
+        both sums: the log-likelihood is -inf, not inf - inf = nan."""
+        plan = CensoringPlan(n=10, m=4, removals=(1, 1, 2, 2), t1=0.5, t2=10.0)
+        s = load_sample([0.2, 0.3, 0.8, 2.0], plan)
+        assert s.case.value == 2
+        beta = 720.0 / math.log(2.0)
+        assert mle._sample_sums(s, beta) == (math.inf, math.inf)
+        assert mle.log_likelihood(ChenParams(0.5, beta), s) == -math.inf
+
 
 def loop_score(p, s):
     """Term-by-term oracle of the score: d2/alpha - nu(beta), and

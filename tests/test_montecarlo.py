@@ -126,18 +126,31 @@ class TestRunStudy:
 
     def test_replications_independent_of_batching(self, monkeypatch):
         """Counter-based per-replication streams and row-by-row lockstep MH:
-        rep r gives the same record regardless of how many replications run
-        before it, which block it shares and how many workers run."""
+        rep r gives the same case and estimates regardless of how many
+        replications run before it, which block it shares and how many
+        workers run."""
         scn = mc.Scenario(n=15, m=5, scheme="I", t1=0.4, t2=4.0,
                           true_params=TRUTH, replications=5, seed=4,
                           estimators=frozenset({"mle", "mh", "is"}))
         plan = scn.plan()
-        solo = mc._replicate_block(scn, plan, 3, 4)[0]
-        again = mc._replicate_block(scn, plan, 3, 4)[0]
-        assert solo == again
-        assert solo["mh"] is not None
-        assert mc._replicate_block(scn, plan, 0, 5)[3] == solo
-        assert mc._replicate_block(replace(scn, replications=20), plan, 0, 20)[3] == solo
+
+        def replication(block, r):
+            cases, estimates = block
+            return cases[r], {name: est[r] for name, est in estimates.items()}
+
+        def assert_same(a, b):
+            assert a[0] == b[0]
+            assert a[1].keys() == b[1].keys()
+            for name in a[1]:
+                np.testing.assert_array_equal(a[1][name], b[1][name])
+
+        solo = replication(mc._replicate_block(scn, plan, 3, 4), 0)
+        again = replication(mc._replicate_block(scn, plan, 3, 4), 0)
+        assert_same(solo, again)
+        assert not np.isnan(solo[1]["mh"]).any()
+        assert_same(replication(mc._replicate_block(scn, plan, 0, 5), 3), solo)
+        assert_same(replication(
+            mc._replicate_block(replace(scn, replications=20), plan, 0, 20), 3), solo)
 
         real = mc.bayes.run_mh_lockstep
         calls = []
@@ -196,21 +209,21 @@ class TestRunStudy:
                           true_params=TRUTH, replications=24, seed=5,
                           estimators=frozenset({"mle"}))
         plan = scn.plan()
-        records = mc._replicate_block(scn, plan, 0, scn.replications)
+        _, estimates = mc._replicate_block(scn, plan, 0, scn.replications)
         failed = 0
-        for rep, record in enumerate(records):
+        for rep, row in enumerate(estimates["mle"]):
             _, sample = mc._one_replication(scn, plan, rep)
             try:
                 fit = mc.mle.fit(sample)
             except (mc.mle.DegenerateSampleError, mc.mle.NoRootError):
                 assert sample.d2 < 2
-                assert record["mle"] is None
+                assert np.isnan(row).all()
                 failed += 1
                 continue
             ci = mc.mle.confidence_intervals(fit, scn.ci_level)
-            row = record["mle"]
+            (alpha, *alpha_ci), (beta, *beta_ci) = row
             np.testing.assert_allclose(
-                [row["alpha"], row["beta"], *row["alpha_ci"], *row["beta_ci"]],
+                [alpha, beta, *alpha_ci, *beta_ci],
                 [fit.params_hat.alpha, fit.params_hat.beta, *ci.alpha_interval,
                  *ci.beta_interval], rtol=1e-12, atol=0)
         assert 0 < failed < scn.replications
