@@ -206,8 +206,9 @@ def _support_sums(lnx, weights, failure, beta):
 
     The arrays are a sample's support or zero-padded rows of supports; beta's
     axes broadcast against their leading axes.  Callers hold the errstate.
-    The lockstep MH loop forms the same sums of its proposals in place, with
-    the same operations, into buffers it allocates once.
+    The lockstep MH loop forms the same sums in place, with the same
+    operations, for all the proposals of a pass at once: (nodes, chains,
+    width) arrays allocated once, whose rows are reduced as these are.
     """
     t = np.exp(np.asarray(beta)[..., None] * lnx)
     return np.vecdot(failure, t), np.vecdot(weights, np.expm1(t))
@@ -268,7 +269,13 @@ def score(p: ChenParams, s: CensoredSample) -> tuple[float, float]:
     _check_params(p)
     with np.errstate(**_QUIET):
         sums = _sums(s.log_support, s.weights, s.failure, p.beta)
-        s_alpha = s.d2 / p.alpha - _unscale(sums.nu, sums.shift)
+        v = _unscale(sums.nu, sums.shift)
+        if v == math.inf:
+            # an e^(x^beta) overflowed at an x > 1, and its term
+            # -alpha w e^(x^beta) x^beta ln x outgrows the rest; where x^beta
+            # itself overflowed, the rescaled sums are e^(inf - inf) = nan
+            return -math.inf, -math.inf
+        s_alpha = s.d2 / p.alpha - v
         s_beta = (s.d2 / p.beta + s.sum_lnx + sums.t_lnx
                   - _unscale(p.alpha, sums.shift) * sums.phi)
     return float(s_alpha), float(s_beta)

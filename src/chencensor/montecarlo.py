@@ -38,8 +38,9 @@ MH_BURN_IN = 500
 IS_DRAWS = 2000
 
 # replications in one block, whose MH chains step together in one lockstep
-# call; bounds the (block, chain_length) arrays of pre-drawn streams and the
-# (block, chain_length, 5) coefficient rows a block holds
+# call; bounds the (block, chain_length) arrays of pre-drawn streams and of
+# the realised path a block holds.  A block this large makes lockstep
+# passes of one iteration each.
 MH_BLOCK = 256
 
 # frozen report schema: one row per scenario x estimator x parameter x loss

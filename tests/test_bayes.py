@@ -1,9 +1,11 @@
 """Posterior kernel identities, sampler exactness, and loss estimators."""
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from chencensor import bayes, mle
+from chencensor import bayes, mle, montecarlo
 from chencensor.censoring import CensoringPlan, classify, load_sample, simulate_experiment
 from chencensor.chen import ChenParams
 
@@ -256,16 +258,49 @@ def lockstep_batch(count=8, chain_length=600, proposal_sd=None):
 
 class TestLockstep:
     def test_rows_equal_single_chains_bit_for_bit(self):
-        samples, cfgs = lockstep_batch()
-        assert {s.case.value for s in samples} == {1, 2, 3}
-        batch = bayes.run_mh_lockstep(samples, PRIOR, cfgs)
-        reordered = bayes.run_mh_lockstep(samples[::-1], PRIOR, cfgs[::-1])[::-1]
-        for s, cfg, row, other in zip(samples, cfgs, batch, reordered):
-            solo = bayes.run_mh_gibbs(s, PRIOR, cfg)
-            for chains in (row, other):
-                np.testing.assert_array_equal(chains.alpha, solo.alpha)
-                np.testing.assert_array_equal(chains.beta, solo.beta)
-                assert chains.acceptance_rate == solo.acceptance_rate
+        """Each row of a batch is its solo chain bit for bit, in any order
+        and in batches of 1 to `MH_BLOCK` chains.  A lockstep pass decides
+        up to four iterations of every chain, to a depth set by the batch
+        size, so a solo chain and its row take passes of different
+        depths.  Chains of 1, 7 and 601 iterations end inside a pass, and
+        601 iterations span more than one chunk of passes at every depth.
+        At proposal sd 3.0, proposals <= 0 and proposals whose nu
+        overflows are made inside a pass."""
+        width = 21
+        counts = (1, 8, 10, 17, montecarlo.MH_BLOCK)
+        depths = [bayes._depth(count, width) for count in counts]
+        assert depths[0] == bayes._MAX_DEPTH and depths[-1] == 1
+        assert len(set(depths)) == bayes._MAX_DEPTH
+        assert 601 // bayes._MAX_DEPTH > bayes._CHUNK_PASSES
+        samples, cfgs = lockstep_batch(count=counts[-1])
+        assert {s.case.value for s in samples[:8]} == {1, 2, 3}
+        assert {s.plan.m + 1 for s in samples} == {width}
+        for chain_length, sd in ((600, None), (1, 3.0), (7, None), (601, 3.0)):
+            cfgs = [dataclasses.replace(cfg, chain_length=chain_length, proposal_sd=sd,
+                                        burn_in=0) for cfg in cfgs]
+            solos = [bayes.run_mh_gibbs(s, PRIOR, cfg) for s, cfg in zip(samples, cfgs)]
+            batches = [bayes.run_mh_lockstep(samples[:count], PRIOR, cfgs[:count])
+                       for count in counts]
+            batches.append(bayes.run_mh_lockstep(samples[7::-1], PRIOR, cfgs[7::-1])[::-1])
+            for batch in batches:
+                for chains, solo in zip(batch, solos):
+                    np.testing.assert_array_equal(chains.alpha, solo.alpha)
+                    np.testing.assert_array_equal(chains.beta, solo.beta)
+                    assert chains.acceptance_rate == solo.acceptance_rate
+        # the solo chains of the last setting propose inside a pass at
+        # every iteration but the first of each pass
+        nonpositive = overflowed = 0
+        for s, cfg, solo in zip(samples, cfgs, solos):
+            rng = np.random.default_rng(cfg.seed)
+            rng.random(cfg.chain_length)
+            steps = cfg.proposal_sd * rng.standard_normal(cfg.chain_length)
+            proposals = np.concatenate(([cfg.init.beta], solo.beta[:-1])) + steps
+            inside = proposals[np.arange(cfg.chain_length) % depths[0] != 0]
+            nonpositive += np.count_nonzero(inside <= 0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                nu = mle._support_sums(s.log_support, s.weights, s.failure, inside[inside > 0])[1]
+            overflowed += np.count_nonzero(nu == np.inf)
+        assert nonpositive > 0 and overflowed > 0
 
     def test_matches_scalar_reference_loop(self):
         """Padding changes only the summation order of nu, and the log

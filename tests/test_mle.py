@@ -122,8 +122,8 @@ class TestSupportSums:
 
     def test_overflowed_terminal_time_gives_minus_inf(self, sample_case3):
         """Once beta * ln x_b > 710, x_b^beta is inf while the failures' sum
-        is finite: nu is inf, and the log-likelihood and the alpha score are
-        -inf, not nan."""
+        is finite: nu is inf, and the log-likelihood and both score
+        components are -inf, not nan."""
         s = sample_case3
         assert s.b > 0 and s.x_b > s.times[-1]
         beta = 720.0 / math.log(s.x_b)
@@ -131,18 +131,22 @@ class TestSupportSums:
         assert sum_t == pytest.approx(sum(x**beta for x in s.times), rel=1e-12)
         assert nu == math.inf
         assert mle.log_likelihood(ChenParams(0.5, beta), s) == -math.inf
-        # the score reads nu from its rescaled pass, where e^(inf - inf) is nan
-        assert mle.score(ChenParams(0.5, beta), s)[0] == -math.inf
+        # the score reads its sums from its rescaled pass, where
+        # e^(inf - inf) is nan
+        assert mle.score(ChenParams(0.5, beta), s) == (-math.inf, -math.inf)
 
     def test_overflowed_failure_time_gives_minus_inf(self):
         """In case 2 the last failure is x_b, so its x^beta overflows into
-        both sums: the log-likelihood is -inf, not inf - inf = nan."""
+        both sums: the log-likelihood and both score components are -inf,
+        not nan."""
         plan = CensoringPlan(n=10, m=4, removals=(1, 1, 2, 2), t1=0.5, t2=10.0)
         s = load_sample([0.2, 0.3, 0.8, 2.0], plan)
         assert s.case.value == 2
         beta = 720.0 / math.log(2.0)
         assert mle._sample_sums(s, beta) == (math.inf, math.inf)
         assert mle.log_likelihood(ChenParams(0.5, beta), s) == -math.inf
+        # the score's rescaled sums are e^(inf - inf) = nan here
+        assert mle.score(ChenParams(0.2, beta), s) == (-math.inf, -math.inf)
 
 
 def loop_score(p, s):
