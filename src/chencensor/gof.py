@@ -3,7 +3,8 @@ fitted Chen model, with parametric-bootstrap p-values (MLE refit in each
 bootstrap replicate, so parameter estimation is accounted for).
 
 The bootstrap runs in blocks of replicates: each block's samples are drawn,
-sorted, refitted by the row-batched MLE and scored as one array.
+sorted, refitted by the row-batched MLE and scored as one array.  Both
+statistics of a report are scored on the same replicates.
 """
 from __future__ import annotations
 
@@ -76,21 +77,28 @@ def ad_statistic(data, p: ChenParams) -> float:
 _STATISTICS = {"ks": (ks_statistic, _ks), "ad": (ad_statistic, _ad)}
 
 
-def _bootstrap(data, which: str, reps: int, seed: int | None,
-               params: ChenParams | None, fitted: ChenParams) -> tuple[float, int]:
-    """`bootstrap_pvalue` from the model `fitted` to the data, and how many
-    refits it dropped; `params` is None when the replicates are refitted."""
-    if which not in _STATISTICS:
+def _bootstrap(data, which: tuple[str, ...], reps: int, seed: int | None,
+               params: ChenParams | None, fitted: ChenParams) -> tuple[tuple[float, ...], int]:
+    """The `bootstrap_pvalue` of each statistic named in `which`, from the
+    model `fitted` to the data, and how many refits were dropped; `params`
+    is None when the replicates are refitted.
+
+    Every statistic is scored on the same replicates: one draw, sort and
+    refit per replicate, and one model cdf that all statistics read, so a
+    statistic's p-value is the one `bootstrap_pvalue` gives it at `seed`.
+    """
+    if not set(which) <= _STATISTICS.keys():
         raise ValueError(f"statistic must be one of {sorted(_STATISTICS)}")
     if reps < 100:
         raise ValueError("reps must be >= 100")
-    stat_fn, row_stat = _STATISTICS[which]
     data = np.asarray(data, dtype=float)
-    observed = stat_fn(data, fitted)
+    stats = [_STATISTICS[name] for name in which]
+    observed = [stat_fn(data, fitted) for stat_fn, _ in stats]
     rng = np.random.default_rng(seed)
     n = data.size
     block = max(1, _BLOCK_ELEMENTS // n)
-    exceed = dropped = 0
+    exceed = [0] * len(stats)
+    dropped = 0
     for start in range(0, reps, block):
         # one row of uniforms per replicate, in the order of one
         # rng.random(n) call per replicate
@@ -105,10 +113,13 @@ def _bootstrap(data, which: str, reps: int, seed: int | None,
             boot = boot[fitted_rows]
             alpha = refits.alpha[fitted_rows, None]
             beta = refits.beta[fitted_rows, None]
-        exceed += int(np.count_nonzero(row_stat(_cdf(alpha, beta, boot)) >= observed))
+        f = _cdf(alpha, beta, boot)
+        for j, (_, row_stat) in enumerate(stats):
+            exceed[j] += int(np.count_nonzero(row_stat(f) >= observed[j]))
+        del f  # not held through the next block's draw
     if dropped > 0.1 * reps:
         raise RuntimeError(f"{dropped}/{reps} bootstrap fits failed")
-    return (1 + exceed) / (reps - dropped + 1), dropped
+    return tuple((1 + e) / (reps - dropped + 1) for e in exceed), dropped
 
 
 def bootstrap_pvalue(data, which: str, reps: int = 2000,
@@ -123,7 +134,7 @@ def bootstrap_pvalue(data, which: str, reps: int = 2000,
     10 % dropped raises RuntimeError.
     """
     fitted = params if params is not None else fit_complete(data).params_hat
-    return _bootstrap(data, which, reps, seed, params, fitted)[0]
+    return _bootstrap(data, (which,), reps, seed, params, fitted)[0][0]
 
 
 @dataclass(frozen=True)
@@ -134,8 +145,9 @@ class GofReport:
     ks_pvalue: float
     ad_pvalue: float
     bootstrap_reps: int
-    # bootstrap replicates whose refit raised a typed MLE error; 0 when the
-    # parameters are fixed
+    # bootstrap replicates whose refit raised a typed MLE error, 0 when the
+    # parameters are fixed; both statistics share the replicates, so the
+    # two counts are equal
     ks_refits_dropped: int = 0
     ad_refits_dropped: int = 0
 
@@ -143,14 +155,17 @@ class GofReport:
 def gof_report(data, reps: int = 2000, seed: int | None = None,
                params: ChenParams | None = None) -> GofReport:
     """Full report; by default the model is the complete-sample MLE, but
-    fixed parameters may be supplied to test a specific hypothesis."""
+    fixed parameters may be supplied to test a specific hypothesis.
+
+    Both statistics are scored on one bootstrap replicate set, drawn from
+    the stream `seed`: each p-value equals `bootstrap_pvalue` of its
+    statistic at `seed`, and the two dropped counts are the same count."""
     data = np.asarray(data, dtype=float)
     fitted = params if params is not None else fit_complete(data).params_hat
     ks_stat = ks_statistic(data, fitted)
     ad_stat = ad_statistic(data, fitted)
-    ks_pvalue, ks_dropped = _bootstrap(data, "ks", reps, seed, params, fitted)
-    ad_pvalue, ad_dropped = _bootstrap(data, "ad", reps,
-                                       None if seed is None else seed + 1, params, fitted)
+    (ks_pvalue, ad_pvalue), dropped = _bootstrap(data, ("ks", "ad"), reps, seed, params,
+                                                 fitted)
     return GofReport(
         fitted=fitted,
         ks_stat=ks_stat,
@@ -158,6 +173,6 @@ def gof_report(data, reps: int = 2000, seed: int | None = None,
         ks_pvalue=ks_pvalue,
         ad_pvalue=ad_pvalue,
         bootstrap_reps=reps,
-        ks_refits_dropped=ks_dropped,
-        ad_refits_dropped=ad_dropped,
+        ks_refits_dropped=dropped,
+        ad_refits_dropped=dropped,
     )

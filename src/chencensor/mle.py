@@ -145,12 +145,15 @@ def _sample_rows(samples, width: int | None = None) -> _Rows:
 def _complete_rows(x: np.ndarray) -> _Rows:
     """The rows of complete samples, one sample's sorted times a row of x:
     every time a failure of weight 1, as `load_sample` gives them under a
-    plan that removes and censors nothing."""
+    plan that removes and censors nothing.  A row holding a time that is not
+    positive and finite (a draw that under- or overflowed) is not
+    identified, and its times are not logged: its ln x reads 0."""
     k, n = x.shape
-    lnx = np.log(x)
+    usable = (x[:, 0] > 0) & (x[:, -1] < np.inf)
+    lnx = np.log(np.where(usable[:, None], x, 1.0))
     ones = np.ones_like(x)
     return _Rows(lnx, ones, ones, np.full(k, float(n)), lnx.sum(axis=-1),
-                 (n >= 2) & (x[:, 0] < x[:, -1]))
+                 usable & (n >= 2) & (x[:, 0] < x[:, -1]))
 
 
 class _Sums(NamedTuple):

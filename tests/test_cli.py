@@ -246,6 +246,16 @@ class TestGof:
         assert payload["ad_stat"] == pytest.approx(1.3748, abs=1e-3)
         assert payload["ks_refits_dropped"] == payload["ad_refits_dropped"] == 0
 
+    def test_overflowing_replicates_end_in_one_error_line(self, capsys, tmp_path):
+        """Replicates that under- and overflow fail their refits quietly: the
+        command reports the dropped share and prints no numpy warning."""
+        data = tmp_path / "extreme.txt"
+        data.write_text("1e-300 2e-300 1 1e300\n")
+        code, _, err = run_cli(capsys, "gof", "--data", str(data),
+                               "--reps", "100", "--seed", "1")
+        assert code == 1
+        assert err == "error: 78/100 bootstrap fits failed\n"
+
     def test_single_fixed_param_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "gof", "--data", "builtin:devices30",
                              "--alpha", "0.2")

@@ -1,6 +1,11 @@
 """KS and AD statistics against closed-form oracles, plus bootstrap p-values."""
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from chencensor import gof, mle
@@ -150,14 +155,15 @@ class TestBlockedBootstrap:
         expected = reference_bootstrap(devices30, which, 600, 11, params)
         assert gof.bootstrap_pvalue(devices30, which, 600, 11, params) == expected[0]
         fitted = params if params is not None else gof.fit_complete(devices30).params_hat
-        assert gof._bootstrap(devices30, which, 600, 11, params, fitted) == expected
+        assert gof._bootstrap(devices30, (which,), 600, 11, params, fitted) == (
+            (expected[0],), expected[1])
 
     def test_dropped_refits_leave_the_denominator(self):
-        """Three points: the loop drops 12 of 300 KS refits and 17 of 300 AD
-        refits, as NoRootError or DegenerateSampleError."""
+        """Three points: the loop drops 12 of 300 refits, as NoRootError or
+        DegenerateSampleError, and both statistics lose the same replicates."""
         x = sample(ChenParams(0.2, 0.7), np.random.default_rng(4), 3)
-        ks, ad = reference_bootstrap(x, "ks", 300, 1), reference_bootstrap(x, "ad", 300, 2)
-        assert (ks[1], ad[1]) == (12, 17)
+        ks, ad = reference_bootstrap(x, "ks", 300, 1), reference_bootstrap(x, "ad", 300, 1)
+        assert (ks[1], ad[1]) == (12, 12)
         report = gof.gof_report(x, reps=300, seed=1)
         assert (report.ks_pvalue, report.ks_refits_dropped) == ks
         assert (report.ad_pvalue, report.ad_refits_dropped) == ad
@@ -190,3 +196,81 @@ class TestBlockedBootstrap:
         assert calls == [devices30.size] * fits
         expected = params if params is not None else real(devices30).params_hat
         assert report.fitted == expected
+
+
+class TestOneReplicateSet:
+    """`gof_report` scores both statistics on the replicates of one stream."""
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("params", [None, ChenParams(0.2, 0.7)], ids=["refit", "fixed"])
+    def test_report_pvalues_are_the_one_statistic_pvalues(self, devices30, params, seed):
+        report = gof.gof_report(devices30, reps=300, seed=seed, params=params)
+        assert (report.ks_pvalue, report.ad_pvalue) == (
+            gof.bootstrap_pvalue(devices30, "ks", 300, seed, params),
+            gof.bootstrap_pvalue(devices30, "ad", 300, seed, params))
+
+    def test_both_dropped_counts_are_the_one_count(self):
+        x = sample(ChenParams(0.2, 0.7), np.random.default_rng(4), 3)
+        fitted = gof.fit_complete(x).params_hat
+        pvalues, dropped = gof._bootstrap(x, ("ks", "ad"), 300, 1, None, fitted)
+        report = gof.gof_report(x, reps=300, seed=1)
+        assert dropped == 12
+        assert report.ks_refits_dropped == report.ad_refits_dropped == dropped
+        assert (report.ks_pvalue, report.ad_pvalue) == pvalues
+
+    @pytest.mark.parametrize("params, rows", [(None, 600), (ChenParams(0.2, 0.7), 0)],
+                             ids=["refit", "fixed"])
+    def test_each_replicate_is_refitted_once(self, devices30, monkeypatch, params, rows):
+        real = mle._fit_rows
+        seen = []
+
+        def counted(batch, *args):
+            seen.append(batch.d2.size)
+            return real(batch, *args)
+
+        monkeypatch.setattr(mle, "_fit_rows", counted)
+        gof.gof_report(devices30, reps=600, seed=3, params=params)
+        assert sum(seen) == rows
+
+    def test_overflowed_replicates_are_dropped_quietly(self):
+        """At beta_hat about 0.001 the replicates of these four points hold
+        exact 0.0 and inf; their rows are dropped as not identified, without
+        a numpy warning, and 78 of 100 refits fail."""
+        x = np.array([1e-300, 2e-300, 1.0, 1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeError, match="78/100 bootstrap fits failed"):
+                gof.gof_report(x, reps=100, seed=1)
+
+
+@st.composite
+def _chen_times(draw):
+    p = ChenParams(draw(st.floats(0.01, 5.0)), draw(st.floats(0.1, 3.0)))
+    u = draw(st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=3, max_size=12))
+    return [float(t) for t in quantile(p, np.array(u))]
+
+
+# positive finite samples of 3 to 12 times: Chen draws, or log-uniform over
+# e^-690 .. e^690, where refits meet draws that under- or overflow
+_samples = st.one_of(
+    _chen_times(),
+    st.lists(st.floats(-690.0, 690.0).map(math.exp), min_size=3, max_size=12),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(x=_samples)
+def test_report_ends_in_pvalues_or_a_typed_error(x):
+    """Any sample `load_sample` accepts gives p-values in (0, 1] or raises
+    ValueError (DegenerateSampleError among them), NoRootError or the
+    too-many-dropped-refits RuntimeError; it never warns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            report = gof.gof_report(x, reps=100, seed=0)
+        except (ValueError, mle.NoRootError):
+            return
+        except RuntimeError as exc:
+            assert "bootstrap fits failed" in str(exc)
+            return
+    assert 0 < report.ks_pvalue <= 1 and 0 < report.ad_pvalue <= 1

@@ -432,6 +432,18 @@ class TestRows:
         for a, b in zip(built, loaded):
             np.testing.assert_array_equal(a, b)
 
+    def test_complete_rows_flag_times_that_are_not_positive_and_finite(self):
+        """A row holding an under- or overflowed draw, 0.0 or inf, is not
+        identified and its times are not logged; it fails as degenerate."""
+        x = np.array([[0.0, 1.0, 2.0], [1.0, 2.0, np.inf], [0.5, 1.0, 3.0]])
+        built = mle._complete_rows(x)
+        assert built.identified.tolist() == [False, False, True]
+        assert np.isfinite(built.lnx).all() and np.isfinite(built.sum_lnx).all()
+        np.testing.assert_array_equal(built.lnx[2], np.log(x[2]))
+        fits = mle._fit_rows(built)
+        assert {r: type(e) for r, e in fits.errors.items()} == {
+            0: mle.DegenerateSampleError, 1: mle.DegenerateSampleError}
+
 
 def _oracle_root(s):
     """Independent root of the profile score: the first sign change of a
