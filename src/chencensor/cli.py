@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -134,7 +135,7 @@ def _seed_of(args) -> int | None:
 def _load_data(args) -> np.ndarray:
     try:
         return read_times(args.data)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise UsageError(f"cannot read data file: {exc}") from exc
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -186,6 +187,10 @@ def _load_censored(args):
 def cmd_fit(args) -> int:
     if not 0.0 < args.level < 1.0:
         raise UsageError("--level must lie in (0, 1)")
+    if args.hazard_grid < 0:
+        raise UsageError("--hazard-grid must be >= 0")
+    if not (math.isfinite(args.hazard_max) and args.hazard_max > 0):
+        raise UsageError("--hazard-max must be a positive finite real")
     sample = _load_censored(args)
     opts = _checked(mle.MleOptions, beta_init=args.beta_init, tol=args.tol,
                     max_iter=args.max_iter)
@@ -248,8 +253,8 @@ def _scenario_from_config(path: str, args) -> Scenario:
                     raise UsageError(f"bad config line: {line!r}")
                 key, value = (part.strip() for part in line.split("=", 1))
                 cfg[key] = value
-    except FileNotFoundError as exc:
-        raise UsageError(str(exc)) from exc
+    except OSError as exc:
+        raise UsageError(f"cannot read config file: {exc}") from exc
 
     def pick(key, cast, default=None):
         if key in cfg:
@@ -261,12 +266,12 @@ def _scenario_from_config(path: str, args) -> Scenario:
     if args.estimators:
         estimators = frozenset(args.estimators.replace(",", " ").split())
     seed = _seed_of(args)
-    scheme = pick("scheme", str, "IV")
-    if scheme.upper() in montecarlo.SCHEME_KINDS:
-        scheme = scheme.upper()
-    else:
-        scheme = tuple(int(tok) for tok in scheme.split(","))
     try:
+        scheme = pick("scheme", str, "IV")
+        if scheme.upper() in montecarlo.SCHEME_KINDS:
+            scheme = scheme.upper()
+        else:
+            scheme = tuple(int(tok) for tok in scheme.split(","))
         return Scenario(
             n=pick("n", int),
             m=pick("m", int),
@@ -287,6 +292,10 @@ def _scenario_from_config(path: str, args) -> Scenario:
 
 
 def cmd_study(args) -> int:
+    # checked before any scenario runs, not when the report is written
+    if args.out and (os.path.isdir(args.out)
+                     or not os.path.isdir(os.path.dirname(args.out) or ".")):
+        raise UsageError(f"--out {args.out}: not a file in an existing directory")
     if args.paper_grid:
         estimators = frozenset((args.estimators or "mle,mh,is").replace(",", " ").split())
         seed = _seed_of(args)

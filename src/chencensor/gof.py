@@ -74,28 +74,29 @@ def ad_statistic(data, p: ChenParams) -> float:
     return float(_ad(cdf(p, _sorted_data(data))))
 
 
-_STATISTICS = {"ks": (ks_statistic, _ks), "ad": (ad_statistic, _ad)}
+_STATISTICS = {"ks": _ks, "ad": _ad}
 
 
 def _bootstrap(data, which: tuple[str, ...], reps: int, seed: int | None,
-               params: ChenParams | None, fitted: ChenParams) -> tuple[tuple[float, ...], int]:
-    """The `bootstrap_pvalue` of each statistic named in `which`, from the
-    model `fitted` to the data, and how many refits were dropped; `params`
-    is None when the replicates are refitted.
+               params: ChenParams | None, fitted: ChenParams) -> tuple[tuple, tuple, int]:
+    """The value on the data and the `bootstrap_pvalue` of each statistic
+    named in `which`, from the model `fitted` to the data, and how many
+    refits were dropped; `params` is None when the replicates are refitted.
 
-    Every statistic is scored on the same replicates: one draw, sort and
-    refit per replicate, and one model cdf that all statistics read, so a
-    statistic's p-value is the one `bootstrap_pvalue` gives it at `seed`.
+    The row functions that score the replicates score the data too.  Every
+    statistic is scored on the same replicates: one draw, sort and refit per
+    replicate, and one model cdf that all statistics read, so a statistic's
+    p-value is the one `bootstrap_pvalue` gives it at `seed`.
     """
     if not set(which) <= _STATISTICS.keys():
         raise ValueError(f"statistic must be one of {sorted(_STATISTICS)}")
     if reps < 100:
         raise ValueError("reps must be >= 100")
-    data = np.asarray(data, dtype=float)
     stats = [_STATISTICS[name] for name in which]
-    observed = [stat_fn(data, fitted) for stat_fn, _ in stats]
+    f = cdf(fitted, _sorted_data(data))
+    observed = tuple(float(row_stat(f)) for row_stat in stats)
     rng = np.random.default_rng(seed)
-    n = data.size
+    n = f.size
     block = max(1, _BLOCK_ELEMENTS // n)
     exceed = [0] * len(stats)
     dropped = 0
@@ -114,12 +115,12 @@ def _bootstrap(data, which: tuple[str, ...], reps: int, seed: int | None,
             alpha = refits.alpha[fitted_rows, None]
             beta = refits.beta[fitted_rows, None]
         f = _cdf(alpha, beta, boot)
-        for j, (_, row_stat) in enumerate(stats):
+        for j, row_stat in enumerate(stats):
             exceed[j] += int(np.count_nonzero(row_stat(f) >= observed[j]))
         del f  # not held through the next block's draw
     if dropped > 0.1 * reps:
         raise RuntimeError(f"{dropped}/{reps} bootstrap fits failed")
-    return tuple((1 + e) / (reps - dropped + 1) for e in exceed), dropped
+    return observed, tuple((1 + e) / (reps - dropped + 1) for e in exceed), dropped
 
 
 def bootstrap_pvalue(data, which: str, reps: int = 2000,
@@ -134,7 +135,7 @@ def bootstrap_pvalue(data, which: str, reps: int = 2000,
     10 % dropped raises RuntimeError.
     """
     fitted = params if params is not None else fit_complete(data).params_hat
-    return _bootstrap(data, (which,), reps, seed, params, fitted)[0][0]
+    return _bootstrap(data, (which,), reps, seed, params, fitted)[1][0]
 
 
 @dataclass(frozen=True)
@@ -162,10 +163,8 @@ def gof_report(data, reps: int = 2000, seed: int | None = None,
     statistic at `seed`, and the two dropped counts are the same count."""
     data = np.asarray(data, dtype=float)
     fitted = params if params is not None else fit_complete(data).params_hat
-    ks_stat = ks_statistic(data, fitted)
-    ad_stat = ad_statistic(data, fitted)
-    (ks_pvalue, ad_pvalue), dropped = _bootstrap(data, ("ks", "ad"), reps, seed, params,
-                                                 fitted)
+    (ks_stat, ad_stat), (ks_pvalue, ad_pvalue), dropped = _bootstrap(
+        data, ("ks", "ad"), reps, seed, params, fitted)
     return GofReport(
         fitted=fitted,
         ks_stat=ks_stat,

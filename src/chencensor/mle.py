@@ -3,15 +3,17 @@
 The profile structure is exploited: for fixed beta the alpha score is
 linear in 1/alpha, giving alpha_hat(beta) = d2 / nu(beta) in closed form.
 beta_hat is the root of the profile score h(beta), found by Newton's method
-from `MleOptions.beta_init` and kept inside a sign-change bracket by
-geometric bisection.
+from `MleOptions.beta_init` and kept inside the fixed sign-change bracket
+`_BRACKET` by geometric bisection.
 
 The solve is row-batched: `_solve_rows` iterates on the zero-padded
 supports of many samples at once, one sample a row, and `_finish` forms
-alpha_hat, the information and the verdicts on the same rows.  `solve_beta`
-and `fit` are their one-row calls; the goodness-of-fit bootstrap fits its
-replicates as rows, the study fits each block of replications as rows, and
-the lockstep MH kernel steps its chains on rows.  Two functions form sums
+alpha_hat, the information and the verdicts on the same rows; `_fit_rows`
+chains the two.  `fit` is the one-row call of `_fit_rows` and `solve_beta`
+of `_solve_rows`, and both report the method as `newton` or `bracketed`;
+the goodness-of-fit bootstrap fits its replicates as rows, the study fits
+each block of replications as rows, and the lockstep MH kernel steps its
+chains on rows.  Two functions form sums
 over weighted supports: `_sums`, rescaled where e^(x^beta) would overflow,
 for h, its slope and the information; and `_support_sums`, the value
 kernel, for `nu`, the likelihood and the Bayesian samplers.  Asymptotic
@@ -42,9 +44,7 @@ __all__ = [
     "log_likelihood",
     "score",
     "nu",
-    "alpha_profile",
     "profile_score",
-    "profile_score_and_slope",
     "solve_beta",
     "fit",
     "observed_information",
@@ -61,10 +61,19 @@ class NoRootError(RuntimeError):
 
 
 class SolveMethod(enum.Enum):
-    """How `solve_beta` reached the root."""
+    """How `fit` and `solve_beta` reached the root."""
 
-    FIXED_POINT = "fixed_point"  # Newton steps only
+    NEWTON = "newton"  # Newton steps only
     BRACKETED = "bracketed"  # at least one bisection step
+
+
+def _method(bracketed) -> SolveMethod:
+    """The method of a row, from whether it took a bisection step."""
+    return SolveMethod.BRACKETED if bracketed else SolveMethod.NEWTON
+
+
+# the search interval of beta_hat, where every solve starts
+_BRACKET = (1e-4, 50.0)
 
 
 @dataclass(frozen=True)
@@ -72,14 +81,10 @@ class MleOptions:
     beta_init: float = 1.0
     tol: float = 1e-10
     max_iter: int = 500
-    bracket: tuple[float, float] = (1e-4, 50.0)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.tol) and self.tol > 0) or self.max_iter < 1:
             raise ValueError("tol must be a positive finite real and max_iter >= 1")
-        lo, hi = self.bracket
-        if not (0 < lo < hi):
-            raise ValueError("bracket must satisfy 0 < low < high")
         if not (math.isfinite(self.beta_init) and self.beta_init > 0):
             raise ValueError("beta_init must be a positive finite real")
 
@@ -100,11 +105,6 @@ class MleFit:
     iterations: int
     converged_by: SolveMethod
     sample: CensoredSample
-
-
-def _check_params(p: ChenParams) -> None:
-    if p.alpha <= 0 or p.beta <= 0:
-        raise ValueError("parameters must be positive")
 
 
 class _Rows(NamedTuple):
@@ -255,7 +255,6 @@ def nu(s: CensoredSample, beta: float) -> float:
 
 def log_likelihood(p: ChenParams, s: CensoredSample) -> float:
     """Log-likelihood up to the parameter-free combinatorial constant."""
-    _check_params(p)
     sum_t, v = _sample_sums(s, p.beta)
     if v == math.inf:
         # an e^(x^beta) overflowed, so the likelihood is 0 at alpha > 0; where
@@ -269,7 +268,6 @@ def log_likelihood(p: ChenParams, s: CensoredSample) -> float:
 def score(p: ChenParams, s: CensoredSample) -> tuple[float, float]:
     """Gradient of the log-likelihood in (alpha, beta), from one pass over
     the support."""
-    _check_params(p)
     with np.errstate(**_QUIET):
         sums = _sums(s.log_support, s.weights, s.failure, p.beta)
         v = _unscale(sums.nu, sums.shift)
@@ -284,19 +282,12 @@ def score(p: ChenParams, s: CensoredSample) -> tuple[float, float]:
     return float(s_alpha), float(s_beta)
 
 
-def alpha_profile(s: CensoredSample, beta: float) -> float:
-    """Closed-form alpha maximizer at fixed beta: d2 / nu."""
-    v = nu(s, beta)
-    if not v > 0:  # an overflowed nu gives alpha 0
-        raise DegenerateSampleError("nu(beta) is not positive; all times at zero?")
-    return s.d2 / v
-
-
 def _profile(rows: _Rows, beta):
-    """Profile score h and its slope at each row's beta; nan where nu(beta)
-    is not finite or has underflowed below the smallest normal float, where
-    its few remaining bits make h noise.  `rows` may also hold one sample's
-    support as it is, with its d2 and sum of ln x as scalars."""
+    """Profile score h and its slope h' = -(I_bb - I_ab^2 / I_aa) at each
+    row's beta; nan where nu(beta) is not finite or has underflowed below
+    the smallest normal float, where its few remaining bits make h noise.
+    `rows` may also hold one sample's support as it is, with its d2 and sum
+    of ln x as scalars."""
     sums = _sums(rows.lnx, rows.weights, rows.failure, beta)
     d2 = rows.d2
     nu = np.where((sums.nu >= _SMALLEST_NORMAL) & (sums.nu < np.inf), sums.nu, np.nan)
@@ -306,25 +297,15 @@ def _profile(rows: _Rows, beta):
     return h, slope
 
 
-def profile_score_and_slope(s: CensoredSample, beta: float) -> tuple[float, float]:
-    """Profile score h(beta) and its slope h'(beta) = -(I_bb - I_ab^2 / I_aa)
-    at alpha_hat(beta), from one pass over the support.
-
-    Both are nan where nu(beta) is not finite or has underflowed below the
-    smallest normal float, where its few remaining bits make h noise.
-    """
+def profile_score(s: CensoredSample, beta: float) -> float:
+    """d/d beta of the log-likelihood with alpha profiled out, from one pass
+    over the sample's support; nan where nu(beta) is not computable (see
+    `_profile`)."""
     if beta <= 0:
         raise ValueError("beta must be > 0")
     row = _Rows(s.log_support, s.weights, s.failure, s.d2, s.sum_lnx, True)
     with np.errstate(**_QUIET):
-        h, slope = _profile(row, beta)
-    return float(h), float(slope)
-
-
-def profile_score(s: CensoredSample, beta: float) -> float:
-    """d/d beta of the log-likelihood with alpha profiled out; nan where
-    nu(beta) is not computable (see `profile_score_and_slope`)."""
-    return profile_score_and_slope(s, beta)[0]
+        return float(_profile(row, beta)[0])
 
 
 def _solve_rows(rows: _Rows, opts: MleOptions):
@@ -346,7 +327,7 @@ def _solve_rows(rows: _Rows, opts: MleOptions):
         errors = {int(r): DegenerateSampleError("need at least two distinct failure times")
                   for r in np.flatnonzero(~rows.identified)}
         rows = _Rows(*(a[idx] for a in rows))
-    lo0, hi0 = opts.bracket
+    lo0, hi0 = _BRACKET
     # the bracket, h at its ends (nan until an evaluation has signed that
     # end: h(lo) > 0 and h(hi) < 0 are then seen, not merely assumed) and
     # the point to evaluate next
@@ -410,20 +391,19 @@ def solve_beta(s: CensoredSample, opts: MleOptions | None = None) -> tuple[float
     """Profile MLE of beta: Newton's method on the profile score, kept inside a
     sign-change bracket by geometric bisection.
 
-    Each evaluation narrows the bracket (lo, hi), which starts as
-    `opts.bracket`: h > 0 raises lo, h < 0 or a non-finite h lowers hi.  A
-    Newton step that leaves the bracket, or that comes from a slope that is
-    not negative, is replaced by the geometric midpoint sqrt(lo * hi).  The
-    method is FIXED_POINT when only Newton steps were taken (Newton's method
-    is the fixed-point iteration of beta - h/h') and BRACKETED when at least
-    one bisection step was; `iterations` counts both kinds of step.  This is
-    the one-row call of the solver that fits many samples at once.
+    Each evaluation narrows the bracket (lo, hi), which starts as the
+    constant `_BRACKET`: h > 0 raises lo, h < 0 or a non-finite h lowers hi.
+    A Newton step that leaves the bracket, or that comes from a slope that
+    is not negative, is replaced by the geometric midpoint sqrt(lo * hi).
+    The method is NEWTON when only Newton steps were taken and BRACKETED
+    when at least one bisection step was; `iterations` counts both kinds of
+    step.  This is the one-row call of the solver that fits many samples at
+    once.
     """
     root, iterations, bracketed, errors = _solve_rows(_sample_rows([s]), opts or MleOptions())
     if errors:
         raise errors[0]
-    method = SolveMethod.BRACKETED if bracketed[0] else SolveMethod.FIXED_POINT
-    return float(root[0]), int(iterations[0]), method
+    return float(root[0]), int(iterations[0]), _method(bracketed[0])
 
 
 def _information(alpha, beta, d2, sums: _Sums):
@@ -437,7 +417,6 @@ def _information(alpha, beta, d2, sums: _Sums):
 
 def observed_information(p: ChenParams, s: CensoredSample) -> np.ndarray:
     """Negative Hessian of the log-likelihood, evaluated at p."""
-    _check_params(p)
     with np.errstate(**_QUIET):
         i_aa, i_ab, i_bb = _information(p.alpha, p.beta, s.d2,
                                         _sums(s.log_support, s.weights, s.failure, p.beta))
@@ -496,20 +475,19 @@ def _fit_rows(rows: _Rows, opts: MleOptions | None = None) -> _RowFits:
 
 
 def fit(s: CensoredSample, opts: MleOptions | None = None) -> MleFit:
-    """Joint MLE with observed information and its inverse: `solve_beta`,
-    then the one-row call of the step that finishes a batch of fits."""
-    beta_hat, iterations, method = solve_beta(s, opts)
-    alpha, info, varcov, verdicts = _finish(_sample_rows([s]), np.array([beta_hat]))
-    if verdicts:
-        raise verdicts[0]
-    params = ChenParams(float(alpha[0]), beta_hat)
+    """Joint MLE with observed information and its inverse: the one-row call
+    of `_fit_rows`, plus the log-likelihood at the estimate."""
+    fits = _fit_rows(_sample_rows([s]), opts)
+    if fits.errors:
+        raise fits.errors[0]
+    params = ChenParams(float(fits.alpha[0]), float(fits.beta[0]))
     return MleFit(
         params_hat=params,
         loglik=log_likelihood(params, s),
-        info=info[0],
-        varcov=varcov[0],
-        iterations=iterations,
-        converged_by=method,
+        info=fits.info[0],
+        varcov=fits.varcov[0],
+        iterations=int(fits.iterations[0]),
+        converged_by=_method(fits.bracketed[0]),
         sample=s,
     )
 

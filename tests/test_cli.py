@@ -285,12 +285,40 @@ DEVICES = ("--data", "builtin:devices30", "--complete")
     ("bayes", *DEVICES, "--proposal-sd", "nan"),
     ("fit", *DEVICES, "--beta-init", "nan"),
     ("fit", *DEVICES, "--tol", "inf"),
+    ("fit", *DEVICES, "--hazard-grid", "-3"),
+    ("fit", *DEVICES, "--hazard-grid", "2", "--hazard-max", "0"),
+    ("fit", *DEVICES, "--hazard-grid", "2", "--hazard-max", "nan"),
+    ("fit", *DEVICES, "--hazard-grid", "2", "--hazard-max", "inf"),
 ])
 def test_invalid_option_value_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == cli.USAGE_ERROR
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+# {dir} is an existing directory, {bad_scheme} a config whose scheme is not
+# a list of integers
+@pytest.mark.parametrize("argv", [
+    ("fit", "--data", "{dir}", "--complete"),
+    ("bayes", "--data", "{dir}", "--complete"),
+    ("gof", "--data", "{dir}"),
+    ("study", "--config", "{dir}"),
+    ("study", "--config", "{bad_scheme}"),
+    ("study", "--paper-grid", "--reps", "1", "--workers", "1", "--estimators", "mle",
+     "--out", "{dir}/missing/x.csv"),
+    ("study", "--paper-grid", "--reps", "1", "--workers", "1", "--estimators", "mle",
+     "--out", "{dir}"),
+], ids=["fit-data-dir", "bayes-data-dir", "gof-data-dir", "config-dir", "config-scheme",
+        "out-missing-dir", "out-is-dir"])
+def test_bad_path_or_config_ends_in_one_usage_error_line(capsys, tmp_path, argv):
+    bad_scheme = tmp_path / "bad_scheme.cfg"
+    bad_scheme.write_text("n = 15\nm = 5\nscheme = 1,x\nt1 = 0.4\nt2 = 4\nreps = 2\n")
+    argv = [a.format(dir=tmp_path, bad_scheme=bad_scheme) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == cli.USAGE_ERROR
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestConsoleEntry:

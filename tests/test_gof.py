@@ -155,8 +155,9 @@ class TestBlockedBootstrap:
         expected = reference_bootstrap(devices30, which, 600, 11, params)
         assert gof.bootstrap_pvalue(devices30, which, 600, 11, params) == expected[0]
         fitted = params if params is not None else gof.fit_complete(devices30).params_hat
+        observed = {"ks": gof.ks_statistic, "ad": gof.ad_statistic}[which](devices30, fitted)
         assert gof._bootstrap(devices30, (which,), 600, 11, params, fitted) == (
-            (expected[0],), expected[1])
+            (observed,), (expected[0],), expected[1])
 
     def test_dropped_refits_leave_the_denominator(self):
         """Three points: the loop drops 12 of 300 refits, as NoRootError or
@@ -212,13 +213,15 @@ class TestOneReplicateSet:
     def test_both_dropped_counts_are_the_one_count(self):
         x = sample(ChenParams(0.2, 0.7), np.random.default_rng(4), 3)
         fitted = gof.fit_complete(x).params_hat
-        pvalues, dropped = gof._bootstrap(x, ("ks", "ad"), 300, 1, None, fitted)
+        observed, pvalues, dropped = gof._bootstrap(x, ("ks", "ad"), 300, 1, None, fitted)
         report = gof.gof_report(x, reps=300, seed=1)
         assert dropped == 12
         assert report.ks_refits_dropped == report.ad_refits_dropped == dropped
+        assert (report.ks_stat, report.ad_stat) == observed
         assert (report.ks_pvalue, report.ad_pvalue) == pvalues
 
-    @pytest.mark.parametrize("params, rows", [(None, 600), (ChenParams(0.2, 0.7), 0)],
+    # on the refit path the observed data's fit is one more row
+    @pytest.mark.parametrize("params, rows", [(None, 601), (ChenParams(0.2, 0.7), 0)],
                              ids=["refit", "fixed"])
     def test_each_replicate_is_refitted_once(self, devices30, monkeypatch, params, rows):
         real = mle._fit_rows

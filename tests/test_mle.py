@@ -4,10 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from chencensor import mle
-from chencensor.censoring import CensoringPlan, classify, load_sample
+from chencensor.censoring import CensoringPlan, classify, load_sample, simulate_experiment
 from chencensor.gof import complete_plan
 from chencensor.chen import ChenParams, pdf, sample as chen_sample, survival
 from conftest import random_censored_sample
@@ -213,11 +215,23 @@ class TestScoreAndInformation:
         assert info[0, 1] == info[1, 0]
 
 
+def alpha_profile(s, beta):
+    """The closed-form alpha maximizer at fixed beta, d2 / nu(beta)."""
+    return s.d2 / mle.nu(s, beta)
+
+
+def profile_and_slope(s, beta):
+    """h(beta) and h'(beta) of the one-sample row, as the solver forms them."""
+    with np.errstate(all="ignore"):
+        h, slope = mle._profile(mle._sample_rows([s]), np.array([beta]))
+    return float(h[0]), float(slope[0])
+
+
 class TestProfile:
     def test_alpha_profile_zeroes_alpha_score(self, all_case_samples):
         for s in all_case_samples:
             for beta in (0.4, 0.8, 1.3):
-                a = mle.alpha_profile(s, beta)
+                a = alpha_profile(s, beta)
                 sa, _ = mle.score(ChenParams(a, beta), s)
                 assert sa == pytest.approx(0.0, abs=1e-9 * s.d2)
 
@@ -227,7 +241,7 @@ class TestProfile:
         h = 1e-6
         for beta in (0.6, 1.0, 1.4):
             def prof(b):
-                return mle.log_likelihood(ChenParams(mle.alpha_profile(s, b), b), s)
+                return mle.log_likelihood(ChenParams(alpha_profile(s, b), b), s)
             fd = (prof(beta + h) - prof(beta - h)) / (2 * h)
             assert mle.profile_score(s, beta) == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
@@ -237,13 +251,13 @@ class TestProfile:
         step = 1e-6
         for s in all_case_samples:
             for beta in (0.4, 0.8, 1.3):
-                h, slope = mle.profile_score_and_slope(s, beta)
+                h, slope = profile_and_slope(s, beta)
                 assert h == mle.profile_score(s, beta)
                 fd = (mle.profile_score(s, beta + step)
                       - mle.profile_score(s, beta - step)) / (2 * step)
                 assert slope == pytest.approx(fd, rel=1e-5)
                 info = mle.observed_information(
-                    ChenParams(mle.alpha_profile(s, beta), beta), s)
+                    ChenParams(alpha_profile(s, beta), beta), s)
                 schur = info[1, 1] - info[0, 1] ** 2 / info[0, 0]
                 assert slope == pytest.approx(-schur, rel=1e-9)
 
@@ -254,7 +268,7 @@ class TestProfile:
         assert np.isfinite(mle.profile_score(s, 1.0))
         for beta in (40.0, 50.0):
             assert np.isnan(mle.profile_score(s, beta))
-            assert np.isnan(mle.profile_score_and_slope(s, beta)).all()
+            assert np.isnan(profile_and_slope(s, beta)).all()
 
 
 class TestFit:
@@ -306,7 +320,7 @@ class TestFit:
         for s in (*all_case_samples, complete, *randoms):
             fit = mle.fit(s)
             p = fit.params_hat
-            assert p.alpha == pytest.approx(mle.alpha_profile(s, p.beta), rel=1e-12)
+            assert p.alpha == pytest.approx(alpha_profile(s, p.beta), rel=1e-12)
             assert fit.loglik == pytest.approx(mle.log_likelihood(p, s), rel=1e-12)
             np.testing.assert_allclose(fit.info, mle.observed_information(p, s),
                                        rtol=1e-12, atol=0)
@@ -332,12 +346,13 @@ class TestFit:
             with pytest.raises(mle.NoRootError, match="singular"):
                 mle.fit(s)
 
-    def test_no_sign_change_is_no_root(self, devices30):
+    def test_no_sign_change_is_no_root(self, devices30, monkeypatch):
         """beta_hat is 0.85; on (2, 50) the profile score is negative
         throughout, so the search closes in at 2 with h(lo) never seen > 0."""
         s = load_sample(devices30, complete_plan(30))
-        with pytest.raises(mle.NoRootError, match="no sign change"):
-            mle.solve_beta(s, mle.MleOptions(bracket=(2.0, 50.0)))
+        monkeypatch.setattr(mle, "_BRACKET", (2.0, 50.0))
+        with pytest.raises(mle.NoRootError, match=r"no sign change on \(2, 50\)"):
+            mle.solve_beta(s)
 
     def test_degenerate_sample_rejected(self, base_plan):
         one = classify(np.array([1.5]), base_plan)
@@ -413,8 +428,8 @@ class TestRows:
             assert fits.alpha[r] == pytest.approx(one.params_hat.alpha, rel=1e-12)
             np.testing.assert_allclose(fits.info[r], one.info, rtol=1e-12, atol=0)
             np.testing.assert_allclose(fits.varcov[r], one.varcov, rtol=1e-12, atol=0)
-            method = mle.SolveMethod.BRACKETED if fits.bracketed[r] else mle.SolveMethod.FIXED_POINT
-            assert (fits.iterations[r], method) == (one.iterations, one.converged_by)
+            assert (fits.iterations[r], mle._method(fits.bracketed[r])) == (
+                one.iterations, one.converged_by)
         assert failed == {4: mle.DegenerateSampleError, 5: mle.NoRootError,
                           6: mle.NoRootError, 7: mle.NoRootError}
         assert "not reached" in str(fits.errors[7])
@@ -449,7 +464,7 @@ def _oracle_root(s):
     """Independent root of the profile score: the first sign change of a
     geometric scan over the default bracket, refined by brentq; None when
     the scan finds no sign change."""
-    lo, hi = mle.MleOptions().bracket
+    lo, hi = mle._BRACKET
     grid = np.geomspace(lo, hi, 200)
     vals = np.array([mle.profile_score(s, float(b)) for b in grid])
     for j in range(grid.size - 1):
@@ -483,6 +498,42 @@ def test_solver_matches_brentq_oracle(devices30):
         iterations.append(its)
     assert len(iterations) > 500
     assert np.median(iterations) <= 8
+
+
+@st.composite
+def _experiments(draw):
+    """One simulated experiment: n units, m target failures with the n - m
+    removals spread over them, thresholds and parameters drawn log-uniform
+    over ranges where fits succeed, fail as degenerate and find no root."""
+    n = draw(st.integers(5, 200))
+    m = draw(st.integers(1, n))
+    at = draw(st.lists(st.integers(0, m - 1), min_size=n - m, max_size=n - m))
+    removals = tuple(int(r) for r in np.bincount(at, minlength=m))
+    t1 = math.exp(draw(st.floats(-3.0, 2.0)))
+    t2 = t1 * math.exp(draw(st.floats(0.01, 3.0)))
+    params = ChenParams(math.exp(draw(st.floats(-6.0, 2.0))),
+                        math.exp(draw(st.floats(-2.0, 1.5))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return simulate_experiment(CensoringPlan(n, m, removals, t1, t2), params, rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=_experiments())
+def test_fit_gives_finite_estimates_or_a_typed_error(s):
+    """Every simulated experiment is fitted to finite estimates with a
+    positive-definite varcov and finite Wald intervals, or raises
+    DegenerateSampleError or NoRootError; it never warns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            fit = mle.fit(s)
+        except (mle.DegenerateSampleError, mle.NoRootError):
+            return
+        ci = mle.confidence_intervals(fit)
+    p = fit.params_hat
+    assert np.isfinite([p.alpha, p.beta, fit.loglik]).all()
+    assert np.isfinite(fit.varcov).all() and (np.linalg.eigvalsh(fit.varcov) > 0).all()
+    assert np.isfinite([*ci.alpha_interval, *ci.beta_interval]).all()
 
 
 class TestConfidenceIntervals:
