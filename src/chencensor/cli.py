@@ -104,15 +104,26 @@ def _add_plan_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t2", type=float, help="maximum test time")
 
 
+def _scheme(text: str) -> str | tuple[int, ...]:
+    """A scheme given as text: its name I-IV in any case, or a comma list of
+    removal counts; ValueError when it is neither."""
+    if text.upper() in montecarlo.SCHEME_KINDS:
+        return text.upper()
+    return tuple(int(tok) for tok in text.split(","))
+
+
+def _estimators(text: str) -> frozenset:
+    """An estimator list given as text: names separated by commas or spaces."""
+    return frozenset(text.replace(",", " ").split())
+
+
 def _build_plan(args) -> CensoringPlan:
     for name in ("n", "m", "scheme", "t1", "t2"):
         if getattr(args, name) is None:
             raise UsageError(f"--{name} is required for a censoring plan")
     try:
-        if args.scheme.upper() in montecarlo.SCHEME_KINDS:
-            removals = build_scheme(args.scheme.upper(), args.n, args.m)
-        else:
-            removals = tuple(int(tok) for tok in args.scheme.split(","))
+        scheme = _scheme(args.scheme)
+        removals = build_scheme(scheme, args.n, args.m) if isinstance(scheme, str) else scheme
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     return _checked(CensoringPlan, n=args.n, m=args.m, removals=removals,
@@ -192,9 +203,7 @@ def cmd_fit(args) -> int:
     if not (math.isfinite(args.hazard_max) and args.hazard_max > 0):
         raise UsageError("--hazard-max must be a positive finite real")
     sample = _load_censored(args)
-    opts = _checked(mle.MleOptions, beta_init=args.beta_init, tol=args.tol,
-                    max_iter=args.max_iter)
-    fit_result = mle.fit(sample, opts)
+    fit_result = mle.fit(sample)
     ci = mle.confidence_intervals(fit_result, args.level)
     payload = {
         "alpha_hat": fit_result.params_hat.alpha,
@@ -261,26 +270,17 @@ def _scenario_from_config(path: str, args) -> Scenario:
             return cast(cfg[key])
         return default
 
-    estimators = pick("estimators", lambda v: frozenset(v.replace(",", " ").split()),
-                      frozenset({"mle"}))
-    if args.estimators:
-        estimators = frozenset(args.estimators.replace(",", " ").split())
     seed = _seed_of(args)
     try:
-        scheme = pick("scheme", str, "IV")
-        if scheme.upper() in montecarlo.SCHEME_KINDS:
-            scheme = scheme.upper()
-        else:
-            scheme = tuple(int(tok) for tok in scheme.split(","))
         return Scenario(
             n=pick("n", int),
             m=pick("m", int),
-            scheme=scheme,
+            scheme=pick("scheme", _scheme, "IV"),
             t1=pick("t1", float),
             t2=pick("t2", float),
             true_params=ChenParams(pick("alpha", float, 0.2), pick("beta", float, 0.5)),
             replications=args.reps if args.reps is not None else pick("reps", int, 2000),
-            estimators=estimators,
+            estimators=_estimators(args.estimators or cfg.get("estimators", "mle")),
             prior=bayes.GammaPrior(pick("a", float, 2.0), pick("b", float, 2.0),
                                    pick("c", float, 2.0), pick("d", float, 2.0)),
             loss=bayes.LossParams(pick("g", float, 1.0), pick("q", float, 1.0)),
@@ -293,11 +293,13 @@ def _scenario_from_config(path: str, args) -> Scenario:
 
 def cmd_study(args) -> int:
     # checked before any scenario runs, not when the report is written
+    if args.workers < 1:
+        raise UsageError("--workers must be >= 1")
     if args.out and (os.path.isdir(args.out)
                      or not os.path.isdir(os.path.dirname(args.out) or ".")):
         raise UsageError(f"--out {args.out}: not a file in an existing directory")
     if args.paper_grid:
-        estimators = frozenset((args.estimators or "mle,mh,is").replace(",", " ").split())
+        estimators = _estimators(args.estimators or "mle,mh,is")
         seed = _seed_of(args)
         scenarios = _checked(paper_grid,
                              replications=args.reps if args.reps is not None else 2000,
@@ -378,9 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="treat data as a complete (uncensored) sample")
     _add_plan_flags(p)
     p.add_argument("--level", type=float, default=0.95)
-    p.add_argument("--beta-init", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=500)
     p.add_argument("--hazard-grid", type=int, default=0,
                    help="emit N plot-ready hazard curve points")
     p.add_argument("--hazard-max", type=float, default=3.0)

@@ -3,7 +3,7 @@
 The profile structure is exploited: for fixed beta the alpha score is
 linear in 1/alpha, giving alpha_hat(beta) = d2 / nu(beta) in closed form.
 beta_hat is the root of the profile score h(beta), found by Newton's method
-from `MleOptions.beta_init` and kept inside the fixed sign-change bracket
+from the constant `_BETA_INIT` and kept inside the fixed sign-change bracket
 `_BRACKET` by geometric bisection.
 
 The solve is row-batched: `_solve_rows` iterates on the zero-padded
@@ -35,7 +35,6 @@ from .censoring import CensoredSample
 from .chen import ChenParams
 
 __all__ = [
-    "MleOptions",
     "MleFit",
     "ConfidenceIntervals",
     "DegenerateSampleError",
@@ -72,21 +71,10 @@ def _method(bracketed) -> SolveMethod:
     return SolveMethod.BRACKETED if bracketed else SolveMethod.NEWTON
 
 
-# the search interval of beta_hat, where every solve starts
-_BRACKET = (1e-4, 50.0)
-
-
-@dataclass(frozen=True)
-class MleOptions:
-    beta_init: float = 1.0
-    tol: float = 1e-10
-    max_iter: int = 500
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.tol) and self.tol > 0) or self.max_iter < 1:
-            raise ValueError("tol must be a positive finite real and max_iter >= 1")
-        if not (math.isfinite(self.beta_init) and self.beta_init > 0):
-            raise ValueError("beta_init must be a positive finite real")
+_BRACKET = (1e-4, 50.0)  # the search interval of beta_hat, where every solve starts
+_BETA_INIT = 1.0  # the first beta a solve evaluates
+_TOL = 1e-10  # a Newton step or a bracket shorter than this ends a solve
+_MAX_ITER = 500  # the steps a solve may take before it fails
 
 
 @dataclass(frozen=True)
@@ -308,12 +296,13 @@ def profile_score(s: CensoredSample, beta: float) -> float:
         return float(_profile(row, beta)[0])
 
 
-def _solve_rows(rows: _Rows, opts: MleOptions):
+def _solve_rows(rows: _Rows):
     """`solve_beta` on every row at once.
 
     Each row keeps its own bracket, the profile score at its ends and its
     step count; a row leaves the iteration when it converges or fails, and
-    the rest go on.  Returns beta_hat (nan where a row failed), the
+    the rest go on.  `_BRACKET`, `_BETA_INIT`, `_TOL` and `_MAX_ITER` are
+    read at each call.  Returns beta_hat (nan where a row failed), the
     iteration counts, whether each row took a bisection step, and the typed
     error of each row that failed.
     """
@@ -332,12 +321,12 @@ def _solve_rows(rows: _Rows, opts: MleOptions):
     # end: h(lo) > 0 and h(hi) < 0 are then seen, not merely assumed) and
     # the point to evaluate next
     lo, hi, h_lo, h_hi, beta = np.array(
-        [[lo0], [hi0], [np.nan], [np.nan], [min(max(opts.beta_init, lo0), hi0)]],
+        [[lo0], [hi0], [np.nan], [np.nan], [min(max(_BETA_INIT, lo0), hi0)]],
         dtype=float).repeat(idx.size, axis=1)
     bisected = np.zeros(idx.size, dtype=bool)
     step_no = 0
     with np.errstate(**_QUIET):
-        while idx.size and step_no < opts.max_iter:
+        while idx.size and step_no < _MAX_ITER:
             step_no += 1
             h, slope = _profile(rows, beta)
             # h > 0 raises lo; h < 0 lowers hi, and so does a point where h
@@ -355,8 +344,8 @@ def _solve_rows(rows: _Rows, opts: MleOptions):
             # a Newton step shorter than tol ends the row, as does h = 0; a
             # row whose step leaves the bracket ends if the bracket has
             # closed in, and else goes on from the bracket's geometric midpoint
-            converged = (h == 0) | (newton & (np.abs(step) < opts.tol))
-            closed = (hi - lo < opts.tol) & ~(converged | inside)
+            converged = (h == 0) | (newton & (np.abs(step) < _TOL))
+            closed = (hi - lo < _TOL) & ~(converged | inside)
             mid = np.sqrt(lo * hi)
             stop = converged | closed
             bisected |= ~(stop | inside)
@@ -383,24 +372,26 @@ def _solve_rows(rows: _Rows, opts: MleOptions):
             beta, lo, hi, h_lo, h_hi, bisected = (
                 a[keep] for a in (beta, lo, hi, h_lo, h_hi, bisected))
     for r in idx:
-        errors[int(r)] = NoRootError(f"profile score root not reached in {opts.max_iter} steps")
+        errors[int(r)] = NoRootError(f"profile score root not reached in {_MAX_ITER} steps")
     return root, iterations, bracketed, errors
 
 
-def solve_beta(s: CensoredSample, opts: MleOptions | None = None) -> tuple[float, int, SolveMethod]:
+def solve_beta(s: CensoredSample) -> tuple[float, int, SolveMethod]:
     """Profile MLE of beta: Newton's method on the profile score, kept inside a
     sign-change bracket by geometric bisection.
 
-    Each evaluation narrows the bracket (lo, hi), which starts as the
-    constant `_BRACKET`: h > 0 raises lo, h < 0 or a non-finite h lowers hi.
-    A Newton step that leaves the bracket, or that comes from a slope that
-    is not negative, is replaced by the geometric midpoint sqrt(lo * hi).
-    The method is NEWTON when only Newton steps were taken and BRACKETED
-    when at least one bisection step was; `iterations` counts both kinds of
-    step.  This is the one-row call of the solver that fits many samples at
-    once.
+    The first point is the constant `_BETA_INIT`, and each evaluation
+    narrows the bracket (lo, hi), which starts as the constant `_BRACKET`:
+    h > 0 raises lo, h < 0 or a non-finite h lowers hi.  A Newton step that
+    leaves the bracket, or that comes from a slope that is not negative, is
+    replaced by the geometric midpoint sqrt(lo * hi).  A Newton step shorter
+    than `_TOL` ends the solve, and NoRootError ends one that has not
+    converged in `_MAX_ITER` steps.  The method is NEWTON when only Newton
+    steps were taken and BRACKETED when at least one bisection step was;
+    `iterations` counts both kinds of step.  This is the one-row call of the
+    solver that fits many samples at once.
     """
-    root, iterations, bracketed, errors = _solve_rows(_sample_rows([s]), opts or MleOptions())
+    root, iterations, bracketed, errors = _solve_rows(_sample_rows([s]))
     if errors:
         raise errors[0]
     return float(root[0]), int(iterations[0]), _method(bracketed[0])
@@ -463,9 +454,9 @@ class _RowFits(NamedTuple):
     errors: dict             # row -> its DegenerateSampleError or NoRootError
 
 
-def _fit_rows(rows: _Rows, opts: MleOptions | None = None) -> _RowFits:
-    """`fit` of every row at once."""
-    beta, iterations, bracketed, errors = _solve_rows(rows, opts or MleOptions())
+def _fit_rows(rows: _Rows) -> _RowFits:
+    """`fit` of every row at once, each row solved as `solve_beta` solves it."""
+    beta, iterations, bracketed, errors = _solve_rows(rows)
     alpha, info, varcov, verdicts = _finish(rows, beta)
     # a row the solver failed has a nan beta_hat, which _finish also flags
     errors = {**verdicts, **errors}
@@ -474,10 +465,11 @@ def _fit_rows(rows: _Rows, opts: MleOptions | None = None) -> _RowFits:
     return _RowFits(alpha, beta, info, varcov, iterations, bracketed, errors)
 
 
-def fit(s: CensoredSample, opts: MleOptions | None = None) -> MleFit:
+def fit(s: CensoredSample) -> MleFit:
     """Joint MLE with observed information and its inverse: the one-row call
-    of `_fit_rows`, plus the log-likelihood at the estimate."""
-    fits = _fit_rows(_sample_rows([s]), opts)
+    of `_fit_rows`, plus the log-likelihood at the estimate.  beta_hat is
+    solved as in `solve_beta`."""
+    fits = _fit_rows(_sample_rows([s]))
     if fits.errors:
         raise fits.errors[0]
     params = ChenParams(float(fits.alpha[0]), float(fits.beta[0]))

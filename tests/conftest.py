@@ -1,6 +1,9 @@
 """Shared fixtures: the bundled dataset and censored-sample factories."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from chencensor.censoring import CensoringPlan, classify, simulate_experiment
 from chencensor.chen import ChenParams
@@ -56,3 +59,20 @@ def random_censored_sample(rng, min_failures=2):
         s = simulate_experiment(plan, params, rng)
         if s.d2 >= min_failures and np.unique(s.times).size >= min_failures:
             return s, params
+
+
+@st.composite
+def experiments(draw):
+    """One simulated experiment: n units, m target failures with the n - m
+    removals spread over them, thresholds and parameters drawn log-uniform
+    over ranges where fits succeed, fail as degenerate and find no root."""
+    n = draw(st.integers(5, 200))
+    m = draw(st.integers(1, n))
+    at = draw(st.lists(st.integers(0, m - 1), min_size=n - m, max_size=n - m))
+    removals = tuple(int(r) for r in np.bincount(at, minlength=m))
+    t1 = math.exp(draw(st.floats(-3.0, 2.0)))
+    t2 = t1 * math.exp(draw(st.floats(0.01, 3.0)))
+    params = ChenParams(math.exp(draw(st.floats(-6.0, 2.0))),
+                        math.exp(draw(st.floats(-2.0, 1.5))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return simulate_experiment(CensoringPlan(n, m, removals, t1, t2), params, rng)

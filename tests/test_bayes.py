@@ -1,13 +1,17 @@
 """Posterior kernel identities, sampler exactness, and loss estimators."""
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from chencensor import bayes, mle, montecarlo
 from chencensor.censoring import CensoringPlan, classify, load_sample, simulate_experiment
 from chencensor.chen import ChenParams
+from conftest import experiments
 
 PRIOR = bayes.GammaPrior(2.0, 2.0, 2.0, 2.0)
 
@@ -510,3 +514,29 @@ class TestLossEstimates:
         gaps = [abs(mu - 1.5) for mu in means]
         assert gaps[2] < gaps[1] < gaps[0] + 0.05
         assert gaps[2] < 0.03
+
+
+@settings(max_examples=40, deadline=None)
+@given(s=experiments(), seed=st.integers(0, 2**32 - 1))
+def test_samplers_give_finite_estimates_or_a_typed_error(s, seed):
+    """On every simulated experiment MH and IS give finite SEL, LINEX and
+    entropy estimates of both parameters, or raise a typed error: MH from
+    its MLE start, IS where its proposal is not a distribution.  Neither
+    warns."""
+    runs = (
+        (lambda: bayes.run_mh_gibbs(
+            s, PRIOR, bayes.MhConfig(chain_length=600, burn_in=100, seed=seed)),
+         (mle.DegenerateSampleError, mle.NoRootError)),
+        (lambda: bayes.importance_sample(s, PRIOR, bayes.IsConfig(draws=500, seed=seed)),
+         bayes.ProposalInvalidError),
+    )
+    for draw, typed_errors in runs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                result = bayes.loss_estimates(draw())
+            except typed_errors:
+                continue
+        for est in (result.alpha, result.beta):
+            assert est.keys() == {"sel", "linex", "entropy"}
+            assert np.isfinite(list(est.values())).all()

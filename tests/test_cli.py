@@ -278,13 +278,13 @@ DEVICES = ("--data", "builtin:devices30", "--complete")
     ("study", "--paper-grid", "--reps", "0", "--dry-run"),
     ("study", "--paper-grid", "--estimators", "magic", "--dry-run"),
     ("fit", *DEVICES, "--level", "1.5"),
-    ("fit", *DEVICES, "--tol", "0"),
+    ("study", "--paper-grid", "--reps", "1", "--workers", "0", "--estimators", "mle"),
     ("bayes", *DEVICES, "--a", "nan"),
     ("bayes", *DEVICES, "--d", "inf"),
     ("bayes", *DEVICES, "--g", "nan"),
     ("bayes", *DEVICES, "--proposal-sd", "nan"),
-    ("fit", *DEVICES, "--beta-init", "nan"),
-    ("fit", *DEVICES, "--tol", "inf"),
+    ("study", "--paper-grid", "--reps", "1", "--workers", "-2", "--estimators", "mle"),
+    ("study", "--paper-grid", "--workers", "0", "--dry-run"),
     ("fit", *DEVICES, "--hazard-grid", "-3"),
     ("fit", *DEVICES, "--hazard-grid", "2", "--hazard-max", "0"),
     ("fit", *DEVICES, "--hazard-grid", "2", "--hazard-max", "nan"),

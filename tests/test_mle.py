@@ -5,14 +5,13 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from chencensor import mle
-from chencensor.censoring import CensoringPlan, classify, load_sample, simulate_experiment
+from chencensor.censoring import CensoringPlan, classify, load_sample
 from chencensor.gof import complete_plan
 from chencensor.chen import ChenParams, pdf, sample as chen_sample, survival
-from conftest import random_censored_sample
+from conftest import experiments, random_censored_sample
 
 PARAMS = [ChenParams(0.2, 0.5), ChenParams(0.8, 1.2), ChenParams(0.15, 0.7)]
 
@@ -304,11 +303,12 @@ class TestFit:
         with pytest.raises(mle.NoRootError, match="no sign change"):
             mle.fit(classify([1.49e-9, 1.54e-9], plan))
 
-    def test_max_iter_exhausted_is_no_root(self, devices30):
+    def test_max_iter_exhausted_is_no_root(self, devices30, monkeypatch):
         s = load_sample(devices30, CensoringPlan(30, 30, (0,) * 30, 1e12, 2e12))
         _, iterations, _ = mle.solve_beta(s)
+        monkeypatch.setattr(mle, "_MAX_ITER", iterations - 1)
         with pytest.raises(mle.NoRootError):
-            mle.solve_beta(s, mle.MleOptions(max_iter=iterations - 1))
+            mle.solve_beta(s)
 
     def test_loglik_and_info_are_their_functions_at_the_fit(self, all_case_samples,
                                                               devices30):
@@ -383,15 +383,15 @@ class TestFit:
 class TestRows:
     """The row-batched fit of zero-padded rows against the one-row calls."""
 
-    OPTS = mle.MleOptions(max_iter=12)
-
-    def test_rows_match_one_row_fits(self, all_case_samples, devices30, base_plan):
+    def test_rows_match_one_row_fits(self, all_case_samples, devices30, base_plan,
+                                     monkeypatch):
+        monkeypatch.setattr(mle, "_MAX_ITER", 12)
         complete = load_sample(devices30, complete_plan(30))
         tied = classify([1.5, 1.5], base_plan)
         underflowing = classify([1.49e-9, 1.54e-9], CensoringPlan(32, 2, (12, 18), 1.0, 2.0))
         singular = load_sample([3.8321462301574827, 3.843174757743335, 3.849280624273761],
                                complete_plan(3))
-        # needs 13 steps, one more than OPTS allows
+        # needs 13 steps, one more than the 12 allowed here
         not_reached = classify(
             [2.1433981437907648e-05, 0.01253226251668223, 0.05787069973532754,
              0.06342551592420428, 0.08306118867839433, 0.10589183878418353,
@@ -412,11 +412,11 @@ class TestRows:
                    bisected, *randoms)
         rows = mle._sample_rows(samples)
         assert min(s.log_support.size for s in samples) < rows.lnx.shape[1]  # padded
-        fits = mle._fit_rows(rows, self.OPTS)
+        fits = mle._fit_rows(rows)
         failed = {}
         for r, s in enumerate(samples):
             try:
-                one = mle.fit(s, self.OPTS)
+                one = mle.fit(s)
             except (mle.DegenerateSampleError, mle.NoRootError) as err:
                 assert type(fits.errors[r]) is type(err)
                 assert str(fits.errors[r]) == str(err)
@@ -500,25 +500,8 @@ def test_solver_matches_brentq_oracle(devices30):
     assert np.median(iterations) <= 8
 
 
-@st.composite
-def _experiments(draw):
-    """One simulated experiment: n units, m target failures with the n - m
-    removals spread over them, thresholds and parameters drawn log-uniform
-    over ranges where fits succeed, fail as degenerate and find no root."""
-    n = draw(st.integers(5, 200))
-    m = draw(st.integers(1, n))
-    at = draw(st.lists(st.integers(0, m - 1), min_size=n - m, max_size=n - m))
-    removals = tuple(int(r) for r in np.bincount(at, minlength=m))
-    t1 = math.exp(draw(st.floats(-3.0, 2.0)))
-    t2 = t1 * math.exp(draw(st.floats(0.01, 3.0)))
-    params = ChenParams(math.exp(draw(st.floats(-6.0, 2.0))),
-                        math.exp(draw(st.floats(-2.0, 1.5))))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return simulate_experiment(CensoringPlan(n, m, removals, t1, t2), params, rng)
-
-
 @settings(max_examples=60, deadline=None)
-@given(s=_experiments())
+@given(s=experiments())
 def test_fit_gives_finite_estimates_or_a_typed_error(s):
     """Every simulated experiment is fitted to finite estimates with a
     positive-definite varcov and finite Wald intervals, or raises

@@ -185,8 +185,8 @@ class TestRunStudy:
         real = mc.mle._fit_rows
         calls = []
 
-        def second_fit_has_no_interval(rows, opts=None):
-            fits = real(rows, opts)
+        def second_fit_has_no_interval(rows):
+            fits = real(rows)
             calls.append(fits)
             second = np.flatnonzero(~np.isnan(fits.alpha))[1]
             fits.varcov[second, 0, 0] = -fits.varcov[second, 0, 0]
