@@ -12,10 +12,16 @@ The realized experiment falls in one of three cases:
 `simulate_experiment` draws each failure as the least of the r units still
 at risk, given that they outlived the last failure (sequential conditional
 minima; Balakrishnan & Sandhu 1995): only the count r is kept, no units.
+
+Plans come from the removal vector itself, from `build_scheme` for the
+canonical layouts I-IV of the paper's grid, or from `complete_plan` for a
+complete sample.
 """
 from __future__ import annotations
 
 import enum
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +35,9 @@ __all__ = [
     "CensoringPlan",
     "CensoredSample",
     "InconsistentSampleError",
+    "SCHEME_KINDS",
+    "build_scheme",
+    "complete_plan",
     "simulate_experiment",
     "classify",
     "load_sample",
@@ -67,6 +76,37 @@ class CensoringPlan:
             raise ValueError("sum(removals) + m must equal n")
         if not (0 < self.t1 < self.t2):
             raise ValueError("need 0 < t1 < t2")
+
+
+SCHEME_KINDS = ("I", "II", "III", "IV")
+
+
+def build_scheme(kind: str, n: int, m: int) -> tuple[int, ...]:
+    """Removal vector for the canonical scheme layouts I-IV."""
+    if m > n:
+        raise ValueError("m must not exceed n")
+    r = [0] * m
+    spare = n - m
+    if kind == "I":
+        r[m - 1] = spare
+    elif kind == "II":
+        r[0] = spare
+    elif kind == "III":
+        pos = (m + 1) // 2 if m % 2 == 1 else m // 2
+        r[pos - 1] = spare
+    elif kind == "IV":
+        if spare % m != 0:
+            raise ValueError(f"scheme IV needs m | (n-m); got n={n}, m={m}")
+        r = [spare // m] * m
+    else:
+        raise ValueError(f"unknown scheme kind {kind!r}")
+    return tuple(r)
+
+
+def complete_plan(n: int) -> CensoringPlan:
+    """The plan under which n times are a complete sample: no removals, t1
+    the largest finite float and t2 infinite, so every time is a failure."""
+    return CensoringPlan(n=n, m=n, removals=(0,) * n, t1=sys.float_info.max, t2=math.inf)
 
 
 @dataclass(frozen=True)

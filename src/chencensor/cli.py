@@ -5,6 +5,9 @@ bayes (MH or importance sampling), study (Monte Carlo grid), gof
 (goodness of fit on complete data).
 
 Exit codes: 0 success, 1 runtime/numeric failure, 2 usage/validation error.
+
+Each subcommand imports the estimation modules it runs when it runs, so
+`sample` loads no estimator and `fit` no sampler, study engine or bootstrap.
 """
 from __future__ import annotations
 
@@ -18,11 +21,10 @@ import sys
 
 import numpy as np
 
-from . import bayes, gof, mle, montecarlo
-from .censoring import CensoringPlan, load_sample, simulate_experiment
+from .censoring import (SCHEME_KINDS, CensoringPlan, build_scheme, complete_plan,
+                        load_sample, simulate_experiment)
 from .chen import ChenParams, hazard
 from .datasets import read_times
-from .montecarlo import REPORT_COLUMNS, Scenario, build_scheme, paper_grid
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
@@ -107,7 +109,7 @@ def _add_plan_flags(p: argparse.ArgumentParser) -> None:
 def _scheme(text: str) -> str | tuple[int, ...]:
     """A scheme given as text: its name I-IV in any case, or a comma list of
     removal counts; ValueError when it is neither."""
-    if text.upper() in montecarlo.SCHEME_KINDS:
+    if text.upper() in SCHEME_KINDS:
         return text.upper()
     return tuple(int(tok) for tok in text.split(","))
 
@@ -191,11 +193,12 @@ def cmd_sample(args) -> int:
 def _load_censored(args):
     """The sample of `--data`, complete or under the plan flags."""
     data = _load_data(args)
-    plan = gof.complete_plan(data.size) if args.complete else _build_plan(args)
+    plan = complete_plan(data.size) if args.complete else _build_plan(args)
     return load_sample(data, plan)
 
 
 def cmd_fit(args) -> int:
+    from . import mle
     if not 0.0 < args.level < 1.0:
         raise UsageError("--level must lie in (0, 1)")
     if args.hazard_grid < 0:
@@ -229,6 +232,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_bayes(args) -> int:
+    from . import bayes
     sample = _load_censored(args)
     prior = _checked(bayes.GammaPrior, args.a, args.b, args.c, args.d)
     loss = _checked(bayes.LossParams, g=args.g, q=args.q)
@@ -250,7 +254,8 @@ def cmd_bayes(args) -> int:
     return 0
 
 
-def _scenario_from_config(path: str, args) -> Scenario:
+def _scenario_from_config(path: str, args):
+    from . import bayes, montecarlo
     cfg: dict[str, str] = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -272,7 +277,7 @@ def _scenario_from_config(path: str, args) -> Scenario:
 
     seed = _seed_of(args)
     try:
-        return Scenario(
+        return montecarlo.Scenario(
             n=pick("n", int),
             m=pick("m", int),
             scheme=pick("scheme", _scheme, "IV"),
@@ -292,6 +297,7 @@ def _scenario_from_config(path: str, args) -> Scenario:
 
 
 def cmd_study(args) -> int:
+    from . import montecarlo
     # checked before any scenario runs, not when the report is written
     if args.workers < 1:
         raise UsageError("--workers must be >= 1")
@@ -301,7 +307,7 @@ def cmd_study(args) -> int:
     if args.paper_grid:
         estimators = _estimators(args.estimators or "mle,mh,is")
         seed = _seed_of(args)
-        scenarios = _checked(paper_grid,
+        scenarios = _checked(montecarlo.paper_grid,
                              replications=args.reps if args.reps is not None else 2000,
                              seed=seed if seed is not None else 0, estimators=estimators)
     elif args.config:
@@ -334,6 +340,7 @@ def cmd_study(args) -> int:
 
 
 def cmd_gof(args) -> int:
+    from . import gof
     data = _load_data(args)
     params = None
     if (args.alpha is None) != (args.beta is None):
@@ -439,6 +446,11 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return RUNTIME_ERROR
+    except BrokenPipeError:
+        # the reader closed stdout early: point its descriptor at devnull so
+        # the interpreter's final flush of the buffered rest cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return RUNTIME_ERROR
 
 

@@ -8,14 +8,12 @@ statistics of a report are scored on the same replicates.
 """
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import mle
-from .censoring import CensoringPlan, load_sample
+from .censoring import complete_plan, load_sample
 # chen_sample is not called here; it stays a module attribute because
 # perfbench's tracer patches the names this module looks up
 from .chen import ChenParams, _cdf, cdf, quantile, sample as chen_sample  # noqa: F401
@@ -27,12 +25,6 @@ __all__ = ["GofReport", "ks_statistic", "ad_statistic", "bootstrap_pvalue",
 # numpy's per-call cost is spread thin, small enough to keep the block's
 # temporaries in cache and the peak memory flat
 _BLOCK_ELEMENTS = 8192
-
-
-def complete_plan(n: int) -> CensoringPlan:
-    """The plan under which n times are a complete sample: no removals, t1
-    the largest finite float and t2 infinite, so every time is a failure."""
-    return CensoringPlan(n=n, m=n, removals=(0,) * n, t1=sys.float_info.max, t2=math.inf)
 
 
 def fit_complete(data) -> mle.MleFit:

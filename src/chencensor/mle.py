@@ -26,7 +26,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import NamedTuple
 
 import numpy as np
@@ -489,6 +488,7 @@ def _wald_rows(estimates: np.ndarray, varcov: np.ndarray, level: float):
     from their variance-covariance matrices: the lower and upper ends, and
     whether each row's variances are both positive, without which the row
     has no interval.  `confidence_intervals` is the one-row call."""
+    from statistics import NormalDist
     var = np.diagonal(varcov, axis1=-2, axis2=-1)
     usable = ~np.any(var <= 0, axis=-1)
     z = NormalDist().inv_cdf(0.5 + level / 2.0)

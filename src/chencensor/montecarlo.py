@@ -1,5 +1,5 @@
-"""Monte Carlo study engine: canonical removal schemes, replicated
-experiments, and Bias / MSE / coverage / interval-length aggregation.
+"""Monte Carlo study engine: replicated experiments, and Bias / MSE /
+coverage / interval-length aggregation.
 
 Replications run in blocks, and a block calls each estimation kernel once:
 one row-batched MLE fit of all its samples, one lockstep call for all its
@@ -10,13 +10,13 @@ to the report, which one loop builds from the concatenated blocks.
 """
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import bayes, mle
-from .censoring import CensoredSample, CensoringPlan, simulate_experiment
+from .censoring import (SCHEME_KINDS, CensoredSample, CensoringPlan, build_scheme,
+                        simulate_experiment)
 from .chen import ChenParams
 
 __all__ = [
@@ -27,8 +27,6 @@ __all__ = [
     "paper_grid",
     "REPORT_COLUMNS",
 ]
-
-SCHEME_KINDS = ("I", "II", "III", "IV")
 
 # sampler sizes per replication; smaller than the one-shot analysis
 # defaults of `bayes.MhConfig` and `bayes.IsConfig`, to keep large grids
@@ -48,28 +46,6 @@ REPORT_COLUMNS = (
     "n", "m", "scheme", "t1", "t2", "estimator", "parameter", "loss",
     "bias", "mse", "coverage", "avg_ci_length", "replications_used", "failures",
 )
-
-
-def build_scheme(kind: str, n: int, m: int) -> tuple[int, ...]:
-    """Removal vector for the canonical scheme layouts I-IV."""
-    if m > n:
-        raise ValueError("m must not exceed n")
-    r = [0] * m
-    spare = n - m
-    if kind == "I":
-        r[m - 1] = spare
-    elif kind == "II":
-        r[0] = spare
-    elif kind == "III":
-        pos = (m + 1) // 2 if m % 2 == 1 else m // 2
-        r[pos - 1] = spare
-    elif kind == "IV":
-        if spare % m != 0:
-            raise ValueError(f"scheme IV needs m | (n-m); got n={n}, m={m}")
-        r = [spare // m] * m
-    else:
-        raise ValueError(f"unknown scheme kind {kind!r}")
-    return tuple(r)
 
 
 @dataclass(frozen=True)
@@ -97,6 +73,8 @@ class Scenario:
             raise ValueError("replications must be >= 1")
         if not 0.0 < self.ci_level < 1.0:
             raise ValueError("ci_level must lie in (0, 1)")
+        if not self.estimators:
+            raise ValueError("estimators must name at least one of mle, mh, is")
         bad = set(self.estimators) - {"mle", "mh", "is"}
         if bad:
             raise ValueError(f"unknown estimators: {sorted(bad)}")
@@ -256,6 +234,7 @@ def run_study(scn: Scenario, workers: int = 1) -> StudyReport:
     starts = range(0, total, size)
     stops = [min(start + size, total) for start in starts]
     if workers > 1:
+        import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_replicate_block, [scn] * len(stops),
                                    [plan] * len(stops), starts, stops))

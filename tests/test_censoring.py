@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from chencensor.censoring import (Case, CensoredSample, CensoringPlan,
-                                  InconsistentSampleError, _assemble, classify,
-                                  load_sample, simulate_experiment)
+from chencensor import gof, montecarlo
+from chencensor.censoring import (SCHEME_KINDS, Case, CensoredSample, CensoringPlan,
+                                  InconsistentSampleError, _assemble, build_scheme,
+                                  classify, complete_plan, load_sample,
+                                  simulate_experiment)
 from chencensor.chen import ChenParams, sample as chen_sample
-from chencensor.montecarlo import build_scheme
 
 
 def pool_replay(plan, params, rng):
@@ -64,6 +65,11 @@ class TestPlanValidation:
             CensoringPlan(n=5, m=6, removals=(0,) * 6, t1=1.0, t2=2.0)
         with pytest.raises(ValueError):
             CensoringPlan(n=5, m=0, removals=(), t1=1.0, t2=2.0)
+
+    def test_builders_keep_their_names_in_montecarlo_and_gof(self):
+        assert montecarlo.build_scheme is build_scheme
+        assert montecarlo.SCHEME_KINDS is SCHEME_KINDS
+        assert gof.complete_plan is complete_plan
 
 
 class TestClassify:

@@ -268,6 +268,8 @@ class TestGof:
 
 
 DEVICES = ("--data", "builtin:devices30", "--complete")
+SAMPLE = ("sample", "--n", "30", "--m", "15", "--scheme", "IV", "--t1", "0.4",
+          "--t2", "4.0", "--alpha", "0.2", "--beta", "0.5")
 
 
 @pytest.mark.parametrize("argv", [
@@ -289,6 +291,9 @@ DEVICES = ("--data", "builtin:devices30", "--complete")
     ("fit", *DEVICES, "--hazard-grid", "2", "--hazard-max", "0"),
     ("fit", *DEVICES, "--hazard-grid", "2", "--hazard-max", "nan"),
     ("fit", *DEVICES, "--hazard-grid", "2", "--hazard-max", "inf"),
+    ("study", "--paper-grid", "--reps", "1", "--workers", "1", "--seed", "1",
+     "--estimators", ","),
+    ("study", "--paper-grid", "--dry-run", "--estimators", ","),
 ])
 def test_invalid_option_value_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -298,7 +303,7 @@ def test_invalid_option_value_is_usage_error(capsys, argv):
 
 
 # {dir} is an existing directory, {bad_scheme} a config whose scheme is not
-# a list of integers
+# a list of integers, {no_estimators} a config whose estimator list is empty
 @pytest.mark.parametrize("argv", [
     ("fit", "--data", "{dir}", "--complete"),
     ("bayes", "--data", "{dir}", "--complete"),
@@ -309,12 +314,17 @@ def test_invalid_option_value_is_usage_error(capsys, argv):
      "--out", "{dir}/missing/x.csv"),
     ("study", "--paper-grid", "--reps", "1", "--workers", "1", "--estimators", "mle",
      "--out", "{dir}"),
+    ("study", "--config", "{no_estimators}", "--workers", "1"),
 ], ids=["fit-data-dir", "bayes-data-dir", "gof-data-dir", "config-dir", "config-scheme",
-        "out-missing-dir", "out-is-dir"])
+        "out-missing-dir", "out-is-dir", "config-estimators"])
 def test_bad_path_or_config_ends_in_one_usage_error_line(capsys, tmp_path, argv):
     bad_scheme = tmp_path / "bad_scheme.cfg"
     bad_scheme.write_text("n = 15\nm = 5\nscheme = 1,x\nt1 = 0.4\nt2 = 4\nreps = 2\n")
-    argv = [a.format(dir=tmp_path, bad_scheme=bad_scheme) for a in argv]
+    no_estimators = tmp_path / "no_estimators.cfg"
+    no_estimators.write_text("n = 15\nm = 5\nscheme = I\nt1 = 0.4\nt2 = 4\nreps = 2\n"
+                             "estimators = ,\n")
+    argv = [a.format(dir=tmp_path, bad_scheme=bad_scheme, no_estimators=no_estimators)
+            for a in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == cli.USAGE_ERROR
     assert out == ""
@@ -341,3 +351,50 @@ class TestConsoleEntry:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_reader_closing_the_pipe_ends_quietly(self):
+        """Output far larger than a pipe's buffer, whose reader stops after
+        one line: exit 1 and nothing on stderr, no traceback at shutdown."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "chencensor.cli", *SAMPLE, "--count", "2000",
+             "--seed", "1", "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == b"[\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err and "Exception ignored" not in err
+
+
+MLE, BAYES, GOF, MONTECARLO = (f"chencensor.{name}"
+                               for name in ("mle", "bayes", "gof", "montecarlo"))
+PACKAGE = (MLE, BAYES, GOF, MONTECARLO)
+
+
+@pytest.mark.parametrize("module, argv, absent", [
+    ("chencensor.cli", None, PACKAGE + ("concurrent.futures", "statistics")),
+    ("chencensor.cli", SAMPLE, PACKAGE),
+    ("chencensor.cli", ("fit", *DEVICES), (BAYES, GOF, MONTECARLO)),
+    ("chencensor.cli", ("bayes", *DEVICES, "--chain-length", "200", "--burn-in", "10"),
+     (GOF, MONTECARLO)),
+    ("chencensor.cli", ("gof", "--data", "builtin:devices30", "--reps", "100"),
+     (BAYES, MONTECARLO)),
+    ("chencensor.cli", ("study", "--paper-grid", "--dry-run"), ("concurrent.futures",)),
+    ("chencensor.montecarlo", None, ("concurrent.futures",)),
+], ids=["import-cli", "sample", "fit", "bayes", "gof", "study-dry-run", "import-montecarlo"])
+def test_command_loads_only_the_modules_it_runs(module, argv, absent):
+    """In a fresh interpreter, importing `module` and running `main(argv)`
+    on it leaves none of the `absent` modules in sys.modules."""
+    script = "\n".join([
+        "import contextlib, importlib, io, sys",
+        f"module = importlib.import_module({module!r})",
+        f"argv = {argv!r}",
+        "if argv is not None:",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        assert module.main(list(argv)) == 0",
+        f"print(' '.join(sorted(set({absent!r}) & set(sys.modules))))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""

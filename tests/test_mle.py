@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from scipy.optimize import brentq
 
 from chencensor import mle
-from chencensor.censoring import CensoringPlan, classify, load_sample
-from chencensor.gof import complete_plan
+from chencensor.censoring import CensoringPlan, classify, complete_plan, load_sample
 from chencensor.chen import ChenParams, pdf, sample as chen_sample, survival
 from conftest import experiments, random_censored_sample
 

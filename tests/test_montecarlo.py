@@ -59,6 +59,11 @@ class TestScenario:
             mc.Scenario(n=20, m=10, scheme="I", t1=0.4, t2=4.0,
                         true_params=TRUTH, estimators=frozenset({"magic"}))
 
+    def test_empty_estimator_set_rejected(self):
+        with pytest.raises(ValueError, match="estimators"):
+            mc.Scenario(n=20, m=10, scheme="I", t1=0.4, t2=4.0,
+                        true_params=TRUTH, estimators=frozenset())
+
     def test_zero_replications_rejected(self):
         with pytest.raises(ValueError):
             mc.Scenario(n=20, m=10, scheme="I", t1=0.4, t2=4.0,
