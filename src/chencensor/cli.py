@@ -191,10 +191,11 @@ def cmd_sample(args) -> int:
 
 
 def _load_censored(args):
-    """The sample of `--data`, complete or under the plan flags."""
+    """The sample of `--data`, complete or under the plan flags; data that
+    the plan cannot have produced is a usage error."""
     data = _load_data(args)
     plan = complete_plan(data.size) if args.complete else _build_plan(args)
-    return load_sample(data, plan)
+    return _checked(load_sample, data, plan)
 
 
 def cmd_fit(args) -> int:
@@ -349,6 +350,9 @@ def cmd_gof(args) -> int:
         params = _checked(ChenParams, args.alpha, args.beta)
     if args.reps < 100:
         raise UsageError("--reps must be >= 100")
+    # data that fails as a complete sample is refused before the bootstrap,
+    # on the fixed path too
+    _checked(load_sample, data, complete_plan(data.size))
     report = gof.gof_report(data, reps=args.reps, seed=_seed_of(args), params=params)
     payload = {
         "alpha_hat": report.fitted.alpha,

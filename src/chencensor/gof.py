@@ -23,7 +23,12 @@ __all__ = ["GofReport", "ks_statistic", "ad_statistic", "bootstrap_pvalue",
 
 # values per bootstrap block, about 273 replicates of 30: large enough that
 # numpy's per-call cost is spread thin, small enough to keep the block's
-# temporaries in cache and the peak memory flat
+# temporaries in cache and the peak memory flat.  With the four-array
+# `mle._sums`, a devices30 refit report at 2000 reps took a median 13.7,
+# 12.8 and 13.5 ms of CPU at 8192, 16384 and 32768 values (15 reports each,
+# one core of a shared 2-core x86-64 host).  16384 was the fastest, but it
+# raised the gof-devices30 benchmark's peak RSS by 2.2% (39.8 to 40.7 MB,
+# 10 of 10 runs), so the block stays at 8192
 _BLOCK_ELEMENTS = 8192
 
 

@@ -168,12 +168,20 @@ _QUIET = {"all": "ignore"}
 
 def _sums(lnx, w, failure, beta) -> _Sums:
     """The `_Sums` of a support, or of rows of supports at one beta a row
-    (beta's axes broadcast against the leading axes of the support)."""
-    t = np.exp(np.asarray(beta)[..., None] * lnx)
+    (beta's axes broadcast against the leading axes of the support).
+
+    Each pass writes into t or one of three work arrays of t's shape, in
+    the order of the expression it stands for: e^(beta ln x) is taken in
+    place, e^t - 1 is overwritten by e^t once nu is summed, and the phi xi
+    terms are (t ln x * ln x) * (t + 1).  Every value rounds as the
+    expression's temporaries would, so the fits stay bit-identical."""
+    t = np.asarray(beta)[..., None] * lnx
+    np.exp(t, out=t)
     if np.maximum.reduce(t, axis=None) <= _RESCALE_ABOVE:
         shift = None
-        nu = np.vecdot(w, np.expm1(t))
-        we = np.exp(t)
+        we = np.expm1(t)
+        nu = np.vecdot(w, we)
+        np.exp(t, out=we)
     else:
         # e^(-shift) is below 1e-260, so e^t - 1 scales to e^(t-shift)
         shift = t.max(axis=-1)
@@ -186,9 +194,13 @@ def _sums(lnx, w, failure, beta) -> _Sums:
         nu = np.where(shift < np.inf, nu, np.inf)
     we *= w
     t_lnx = t * lnx
-    t_lnx_f = t_lnx * failure
-    return _Sums(shift, nu, np.vecdot(we, t_lnx), np.vecdot(we, t_lnx * lnx * (1.0 + t)),
-                 np.add.reduce(t_lnx_f, axis=-1), np.vecdot(t_lnx_f, lnx))
+    phi = np.vecdot(we, t_lnx)
+    xi_terms = t_lnx * lnx
+    t += 1.0
+    xi_terms *= t
+    phi_xi = np.vecdot(we, xi_terms)
+    t_lnx *= failure
+    return _Sums(shift, nu, phi, phi_xi, np.add.reduce(t_lnx, axis=-1), np.vecdot(t_lnx, lnx))
 
 
 def _support_sums(lnx, weights, failure, beta):

@@ -302,8 +302,13 @@ def test_invalid_option_value_is_usage_error(capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+PLAN = ("--n", "10", "--m", "3", "--scheme", "I", "--t1", "1", "--t2", "5")
+
+
 # {dir} is an existing directory, {bad_scheme} a config whose scheme is not
-# a list of integers, {no_estimators} a config whose estimator list is empty
+# a list of integers, {no_estimators} a config whose estimator list is empty;
+# {negative} holds the times 1 -2 3, {four} four times, more than m = 3 of
+# PLAN, and {late} a time at t2 = 5
 @pytest.mark.parametrize("argv", [
     ("fit", "--data", "{dir}", "--complete"),
     ("bayes", "--data", "{dir}", "--complete"),
@@ -315,15 +320,30 @@ def test_invalid_option_value_is_usage_error(capsys, argv):
     ("study", "--paper-grid", "--reps", "1", "--workers", "1", "--estimators", "mle",
      "--out", "{dir}"),
     ("study", "--config", "{no_estimators}", "--workers", "1"),
+    ("fit", "--data", "{negative}", "--complete"),
+    ("bayes", "--data", "{negative}", "--complete"),
+    ("gof", "--data", "{negative}"),
+    ("gof", "--data", "{negative}", "--alpha", "0.2", "--beta", "0.7"),
+    ("fit", "--data", "{four}", *PLAN),
+    ("bayes", "--data", "{four}", *PLAN),
+    ("fit", "--data", "{late}", *PLAN),
 ], ids=["fit-data-dir", "bayes-data-dir", "gof-data-dir", "config-dir", "config-scheme",
-        "out-missing-dir", "out-is-dir", "config-estimators"])
+        "out-missing-dir", "out-is-dir", "config-estimators", "fit-negative-time",
+        "bayes-negative-time", "gof-negative-time", "gof-fixed-negative-time",
+        "fit-too-many-failures", "bayes-too-many-failures", "fit-time-at-t2"])
 def test_bad_path_or_config_ends_in_one_usage_error_line(capsys, tmp_path, argv):
     bad_scheme = tmp_path / "bad_scheme.cfg"
     bad_scheme.write_text("n = 15\nm = 5\nscheme = 1,x\nt1 = 0.4\nt2 = 4\nreps = 2\n")
     no_estimators = tmp_path / "no_estimators.cfg"
     no_estimators.write_text("n = 15\nm = 5\nscheme = I\nt1 = 0.4\nt2 = 4\nreps = 2\n"
                              "estimators = ,\n")
-    argv = [a.format(dir=tmp_path, bad_scheme=bad_scheme, no_estimators=no_estimators)
+    files = {}
+    for name, text in (("negative", "1 -2 3\n"), ("four", "0.5 1.5 2 3\n"),
+                       ("late", "0.5 2 5\n")):
+        files[name] = tmp_path / f"{name}.txt"
+        files[name].write_text(text)
+    argv = [a.format(dir=tmp_path, bad_scheme=bad_scheme, no_estimators=no_estimators,
+                     **files)
             for a in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == cli.USAGE_ERROR

@@ -149,8 +149,10 @@ class TestBlockedBootstrap:
 
     @pytest.mark.parametrize("which", ["ks", "ad"])
     @pytest.mark.parametrize("params", [None, ChenParams(0.2, 0.7)], ids=["refit", "fixed"])
-    def test_matches_per_replicate_loop(self, devices30, which, params):
-        # 600 replicates of 30 make three blocks, the last one short
+    def test_matches_per_replicate_loop(self, devices30, monkeypatch, which, params):
+        # at 8192 values a block, 600 replicates of 30 make three blocks, the
+        # last one short; the block is set here so that tuning it keeps them
+        monkeypatch.setattr(gof, "_BLOCK_ELEMENTS", 8192)
         assert 600 // (gof._BLOCK_ELEMENTS // 30) == 2
         expected = reference_bootstrap(devices30, which, 600, 11, params)
         assert gof.bootstrap_pvalue(devices30, which, 600, 11, params) == expected[0]
@@ -158,6 +160,18 @@ class TestBlockedBootstrap:
         observed = {"ks": gof.ks_statistic, "ad": gof.ad_statistic}[which](devices30, fitted)
         assert gof._bootstrap(devices30, (which,), 600, 11, params, fitted) == (
             (observed,), (expected[0],), expected[1])
+
+    @pytest.mark.parametrize("params", [None, ChenParams(0.2, 0.7)], ids=["refit", "fixed"])
+    def test_block_size_does_not_change_the_report(self, devices30, monkeypatch, params):
+        """Blocks of one replicate, of 273 and 546, and one block of all 600
+        give the same p-values and dropped counts: each replicate is drawn
+        in stream order and solved as its own row."""
+        reports = set()
+        for elements in (30, 8192, 16384, 10**6):
+            monkeypatch.setattr(gof, "_BLOCK_ELEMENTS", elements)
+            r = gof.gof_report(devices30, reps=600, seed=11, params=params)
+            reports.add((r.ks_pvalue, r.ad_pvalue, r.ks_refits_dropped, r.ad_refits_dropped))
+        assert len(reports) == 1
 
     def test_dropped_refits_leave_the_denominator(self):
         """Three points: the loop drops 12 of 300 refits, as NoRootError or

@@ -459,6 +459,90 @@ class TestRows:
             0: mle.DegenerateSampleError, 1: mle.DegenerateSampleError}
 
 
+def expression_sums(lnx, w, failure, beta):
+    """`mle._sums` as one expression a sum, each temporary its own array:
+    the kernel's in-place passes must round as these do."""
+    t = np.exp(np.asarray(beta)[..., None] * lnx)
+    if np.maximum.reduce(t, axis=None) <= mle._RESCALE_ABOVE:
+        shift = None
+        nu = np.vecdot(w, np.expm1(t))
+        we = np.exp(t)
+    else:
+        shift = t.max(axis=-1)
+        rescale = ~(shift <= mle._RESCALE_ABOVE)
+        shift = np.where(rescale, shift, 0.0)
+        we = np.exp(t - shift[..., None])
+        nu = np.vecdot(w, np.where(rescale[..., None], we, np.expm1(t)))
+        nu = np.where(shift < np.inf, nu, np.inf)
+    we *= w
+    t_lnx = t * lnx
+    t_lnx_f = t_lnx * failure
+    return mle._Sums(shift, nu, np.vecdot(we, t_lnx), np.vecdot(we, t_lnx * lnx * (1.0 + t)),
+                     np.add.reduce(t_lnx_f, axis=-1), np.vecdot(t_lnx_f, lnx))
+
+
+class TestSumsKernel:
+    """`mle._sums` equals the expression it replaces in all six fields, bit
+    for bit, with nan equal to nan."""
+
+    @staticmethod
+    def assert_same_sums(lnx, w, failure, beta):
+        with np.errstate(**mle._QUIET):
+            got = mle._sums(lnx, w, failure, beta)
+            expected = expression_sums(lnx, w, failure, beta)
+        for name, a, b in zip(mle._Sums._fields, got, expected):
+            if b is None:
+                assert a is None, name
+            else:
+                assert np.array_equal(a, b, equal_nan=True), name
+        return got
+
+    @pytest.fixture(scope="class")
+    def padded(self, all_case_samples, devices30):
+        rng = np.random.default_rng(23)
+        samples = (*all_case_samples, load_sample(devices30, complete_plan(30)),
+                   *(random_censored_sample(rng)[0] for _ in range(60)))
+        rows = mle._sample_rows(samples)
+        assert min(s.log_support.size for s in samples) < rows.lnx.shape[1]
+        return rows, rng.uniform(0.2, 3.0, len(samples))
+
+    def test_zero_padded_rows(self, padded):
+        rows, beta = padded
+        got = self.assert_same_sums(rows.lnx, rows.weights, rows.failure, beta)
+        assert got.shift is None
+
+    def test_rows_that_rescale(self, padded):
+        """A row of x = e^2 at beta 3.3 has x^beta > 600 and is rescaled;
+        the rest are not."""
+        rows, beta = padded
+        lnx = rows.lnx.copy()
+        lnx[[5, 17], :3] = 2.0
+        beta = beta.copy()
+        beta[[5, 17]] = 3.3
+        got = self.assert_same_sums(lnx, rows.weights, rows.failure, beta)
+        assert np.count_nonzero(got.shift) == 2
+
+    def test_rows_whose_power_overflows(self, padded):
+        """x = 1e300 at beta 1.1: x^beta is inf, so the rescaled sums are nan
+        and nu is inf on that row."""
+        rows, beta = padded
+        lnx = rows.lnx.copy()
+        lnx[9, 1] = math.log(1e300)
+        beta = beta.copy()
+        beta[9] = 1.1
+        got = self.assert_same_sums(lnx, rows.weights, rows.failure, beta)
+        assert got.shift[9] == np.inf and got.nu[9] == np.inf and np.isnan(got.phi[9])
+
+    @pytest.mark.parametrize("beta", [0.35, 0.8, 1.7, 6.0])
+    def test_one_support(self, all_case_samples, devices30, beta):
+        """A 1-D support at a scalar beta, as `score` and
+        `observed_information` pass it; at beta 6 devices30 holds
+        3^6 > 600 and rescales."""
+        for s in (*all_case_samples, load_sample(devices30, complete_plan(30))):
+            got = self.assert_same_sums(s.log_support, s.weights, s.failure, beta)
+        assert (got.shift is None) == (beta < 6.0)
+
+
 def _oracle_root(s):
     """Independent root of the profile score: the first sign change of a
     geometric scan over the default bracket, refined by brentq; None when
